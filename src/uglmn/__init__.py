@@ -13,16 +13,13 @@ from .polyaction import (
     act_word_tensor,
     highest_weight_word,
 )
-from .qcoeff import VFunc, VPoly, evaluate, quantum_factorial, quantum_integer, v_sub
+from .qcoeff import VFunc, VPoly, quantum_factorial, quantum_integer, v_sub
 from .regular import (
     SeriesBasis,
-    act_e,
-    act_f,
-    act_k,
+    act_letter,
     act_word,
     compare_truncated,
     expand_as_words,
-    from_signed,
     leading_decompose,
     monomial_word,
     multiply,

@@ -154,8 +154,7 @@ def cmd_truncate(args) -> int:
     p = Profile(args.m, args.n)
     mat = parse_matrix(args.A, p)
     j = parse_vector(args.j, p.size)
-    series = truncate(SeriesBasis(mat, j), args.L)
-    _emit(element_to_json(series.element, "tensor"))
+    _emit(element_to_json(truncate(SeriesBasis(mat, j), args.L), "tensor"))
     return 0
 
 
@@ -179,6 +178,8 @@ def cmd_oracle_compare(args) -> int:
 
 def cmd_verify(args) -> int:
     p = Profile(args.m, args.n)
+    if args.bound < 0:
+        raise InputError(f"--bound must be >= 0, got {args.bound}")
     suites = []
     if args.suite in ("factor", "all"):
         suites.extend(run_factor_suites(p, args.bound, mutate=args.mutate))
@@ -271,7 +272,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, ValueError, IndexError, KeyError, json.JSONDecodeError) as exc:
+    except (InputError, ValueError, IndexError, KeyError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

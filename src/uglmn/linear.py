@@ -127,3 +127,15 @@ def accumulate(into: dict, key, coeff: VFunc) -> None:
             del into[key]
         else:
             into[key] = s
+
+
+def element_from_json(obj, parse_key) -> LinComb:
+    """An element from JSON terms [{"coeff": ..., <key fields>}, ...], with
+    parse_key(term) -> basis key; a key given twice is an error."""
+    terms = {}
+    for t in obj:
+        key = parse_key(t)
+        if key in terms:
+            raise ValueError(f"duplicate term {key!r} in element")
+        terms[key] = VFunc.from_json(t["coeff"])
+    return LinComb(terms)

@@ -21,10 +21,10 @@ the two must agree.
 
 from __future__ import annotations
 
-from .linear import LinComb
-from .qcoeff import ONE, VFunc, quantum_integer
+from .linear import LinComb, element_from_json
+from .qcoeff import ONE, VFunc, quantum_integer, v_sub
 from .superindex import Profile, SuperMatrix, f_stat, g_stat, sigma
-from .words import E, F, K, GenLetter, Word, apply_word
+from .words import E, K, GenLetter, Word, apply_word
 from .words import f as f_letter
 
 ZERO_ONE = "0|1"
@@ -90,15 +90,16 @@ class DividedMonomial:
         return f"X^({','.join(map(str, self.exps))};{self.flavor})"
 
 
-# Sign/exponent/bracket coefficient cache: (exponent, bracket, negate) -> VFunc.
+# Sign/exponent/bracket coefficient cache: (h, exponent, m, bracket, negate) -> VFunc.
 _COEFF_CACHE: dict = {}
 
 
-def _coeff(exp: int, bracket: int, neg: bool) -> VFunc:
-    key = (exp, bracket, neg)
+def _coeff(h: int, exp: int, m: int, bracket: int, neg: bool) -> VFunc:
+    """(+-) v_h^exp [bracket], cached."""
+    key = (h, exp, m, bracket, neg)
     c = _COEFF_CACHE.get(key)
     if c is None:
-        c = VFunc.v_power(exp) * quantum_integer(bracket)
+        c = v_sub(h, exp, m) * quantum_integer(bracket)
         if neg:
             c = -c
         _COEFF_CACHE[key] = c
@@ -113,8 +114,7 @@ def _k_coeff(x: DividedMonomial, i: int, power: int) -> VFunc:
     size = x.profile.size
     if not 1 <= i <= size:
         raise IndexError(f"K index {i} out of range 1..{size}")
-    ei = power * x.exps[i - 1]
-    return VFunc.v_power(ei if i <= x.profile.m else -ei)
+    return v_sub(i, power * x.exps[i - 1], x.profile.m)
 
 
 def _ef_factor(x: DividedMonomial, kind: str, h: int):
@@ -162,12 +162,6 @@ def column_monomials(a: SuperMatrix) -> list:
     ]
 
 
-def tensor_parity(a: SuperMatrix) -> int:
-    from .superindex import matrix_parity
-
-    return matrix_parity(a)
-
-
 def act_tensor(letter: GenLetter, a: SuperMatrix) -> LinComb:
     """Closed-form action on a tensor monomial X^[A].
 
@@ -181,41 +175,27 @@ def act_tensor(letter: GenLetter, a: SuperMatrix) -> LinComb:
         i = letter.index
         if not 1 <= i <= size:
             raise IndexError(f"K index {i} out of range 1..{size}")
-        ei = letter.power * a.row_sum(i)
-        return LinComb.single(a, VFunc.v_power(ei if i <= m else -ei))
+        return LinComb.single(a, v_sub(i, letter.power * a.row_sum(i), m))
     h = letter.index
     if not 1 <= h < size:
         raise IndexError(f"generator index {h} out of range 1..{size - 1}")
     odd = h == m
+    # E_h moves one unit from row h+1 to row h, F_h from row h to row h+1.
+    src, dst = (h + 1, h) if letter.kind == E else (h, h + 1)
+    stat = f_stat if letter.kind == E else g_stat
+    row_src = a.rows[src - 1]
+    row_dst = a.rows[dst - 1]
     out: dict = {}
-    if letter.kind == E:
-        row_src = a.rows[h]
-        row_dst = a.rows[h - 1]
-        for i in range(1, size + 1):
-            if row_src[i - 1] < 1:
-                continue
-            target = a.shift(((h, i, 1), (h + 1, i, -1)))
-            if target is None:
-                continue
-            exp = f_stat(h, i, a)
-            neg = odd and (sigma(i, a) & 1 == 1)
-            c = _coeff(exp if h <= m else -exp, row_dst[i - 1] + 1, neg)
-            prev = out.get(target)
-            out[target] = c if prev is None else prev + c
-    else:
-        row_src = a.rows[h - 1]
-        row_dst = a.rows[h]
-        for i in range(1, size + 1):
-            if row_src[i - 1] < 1:
-                continue
-            target = a.shift(((h, i, -1), (h + 1, i, 1)))
-            if target is None:
-                continue
-            exp = g_stat(h, i, a)
-            neg = odd and (sigma(i, a) & 1 == 1)
-            c = _coeff(exp if h + 1 <= m else -exp, row_dst[i - 1] + 1, neg)
-            prev = out.get(target)
-            out[target] = c if prev is None else prev + c
+    for i in range(1, size + 1):
+        if row_src[i - 1] < 1:
+            continue
+        target = a.shift(((dst, i, 1), (src, i, -1)))
+        if target is None:
+            continue
+        neg = odd and (sigma(i, a) & 1 == 1)
+        c = _coeff(dst, stat(h, i, a), m, row_dst[i - 1] + 1, neg)
+        prev = out.get(target)
+        out[target] = c if prev is None else prev + c
     return LinComb._raw({t: c for t, c in out.items() if not c.is_zero()})
 
 
@@ -321,11 +301,7 @@ def factor_element_to_json(x: LinComb) -> list:
 
 
 def factor_element_from_json(obj, profile: Profile, flavor: str) -> LinComb:
-    terms = {}
-    for t in obj:
-        mono = DividedMonomial(profile, flavor, t["a"])
-        terms[mono] = VFunc.from_json(t["coeff"])
-    return LinComb(terms)
+    return element_from_json(obj, lambda t: DividedMonomial(profile, flavor, t["a"]))
 
 
 def tensor_element_to_json(x: LinComb) -> list:
@@ -334,7 +310,4 @@ def tensor_element_to_json(x: LinComb) -> list:
 
 
 def tensor_element_from_json(obj) -> LinComb:
-    terms = {}
-    for t in obj:
-        terms[SuperMatrix.from_json(t["A"])] = VFunc.from_json(t["coeff"])
-    return LinComb(terms)
+    return element_from_json(obj, lambda t: SuperMatrix.from_json(t["A"]))

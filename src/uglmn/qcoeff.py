@@ -184,26 +184,31 @@ class VPoly:
         return Fraction(sum(c * q**e for e, c in self.c.items()))
 
     def text(self) -> str:
-        if not self.c:
-            return "0"
-        parts = []
-        for e in sorted(self.c, reverse=True):
-            c = self.c[e]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "v" if e == 1 else f"v^{e}"
-                body = var if mag == 1 else f"{mag}{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
+        return _terms_text(self.c, 0) if self.c else "0"
 
     def __repr__(self):
         return f"VPoly('{self.text()}')"
+
+
+def _terms_text(c: dict, shift: int) -> str:
+    """Terms of exponent -> coefficient as text, each exponent lowered by
+    shift, highest first."""
+    parts = []
+    for e in sorted(c, reverse=True):
+        x = c[e]
+        ee = e - shift
+        sign = "-" if x < 0 else "+"
+        mag = abs(x)
+        if ee == 0:
+            body = str(mag)
+        else:
+            var = "v" if ee == 1 else f"v^{ee}"
+            body = var if mag == 1 else f"{mag}{var}"
+        if not parts:
+            parts.append(body if x > 0 else f"-{body}")
+        else:
+            parts.append(f" {sign} {body}")
+    return "".join(parts)
 
 
 _P_ZERO = VPoly._raw({})
@@ -415,23 +420,7 @@ class VFunc:
             return self.num.text()
         if self.den.is_monomial():
             # Laurent polynomial: print with shifted exponents.
-            k = self.den.valuation()
-            parts = []
-            for e in sorted(self.num.c, reverse=True):
-                c = self.num.c[e]
-                ee = e - k
-                sign = "-" if c < 0 else "+"
-                mag = abs(c)
-                if ee == 0:
-                    body = str(mag)
-                else:
-                    var = "v" if ee == 1 else f"v^{ee}"
-                    body = var if mag == 1 else f"{mag}{var}"
-                if not parts:
-                    parts.append(body if c > 0 else f"-{body}")
-                else:
-                    parts.append(f" {sign} {body}")
-            return "".join(parts)
+            return _terms_text(self.num.c, self.den.valuation())
         return f"({self.num.text()})/({self.den.text()})"
 
     def __repr__(self):
@@ -488,8 +477,13 @@ def v_sub(h: int, e: int, m: int) -> VFunc:
     """v_h^e where v_h = v for h <= m and v^-1 for h > m (1-based h)."""
     if h < 1:
         raise IndexError("generator subscript must be >= 1")
-    return VFunc.v_power(e if h <= m else -e)
+    if h > m:
+        e = -e
+    # The power cache is read here directly: every action weight passes here.
+    f = _POWERS.get(e)
+    return VFunc.v_power(e) if f is None else f
 
 
-def evaluate(f: VFunc, q) -> Fraction:
-    return f.evaluate(q)
+def v_gap(h: int, m: int) -> VFunc:
+    """v_h - v_h^{-1}."""
+    return v_sub(h, 1, m) - v_sub(h, -1, m)

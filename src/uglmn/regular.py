@@ -15,11 +15,9 @@ on the window the truncation determines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .linear import LinComb, accumulate
+from .linear import LinComb, accumulate, element_from_json
 from .polyaction import act_tensor
-from .qcoeff import VFunc, quantum_integer
+from .qcoeff import VFunc, quantum_integer, v_gap, v_sub
 from .superindex import (
     Profile,
     SuperMatrix,
@@ -28,11 +26,11 @@ from .superindex import (
     g_stat,
     preceq,
     s_sign,
-    sigma,
+    sigma_hm,
     super_dot,
     zero_matrix,
 )
-from .words import E, F, K, GenLetter, Word, apply_word, word_text
+from .words import E, K, GenLetter, Word, apply_word, word_text
 from .words import e as e_letter
 from .words import f as f_letter
 from .words import k as k_letter
@@ -89,147 +87,81 @@ def _shift_j(j: tuple, i: int, d: int) -> tuple:
     return j[: i - 1] + (j[i - 1] + d,) + j[i:]
 
 
-def _vh_gap(h: int, m: int) -> VFunc:
-    """v_h - v_h^{-1}."""
-    if h <= m:
-        return VFunc.v_power(1) - VFunc.v_power(-1)
-    return VFunc.v_power(-1) - VFunc.v_power(1)
+def act_letter(letter: GenLetter, b: SeriesBasis, signed: bool = False) -> LinComb:
+    """One generator on a label.
 
-
-def act_k(i: int, sign: int, b: SeriesBasis) -> LinComb:
-    """K_i^(+-1): scale by v_i^(+-row_i sum) and shift the twist by +-e_i."""
-    p = b.mat.profile
-    if not 1 <= i <= p.size:
-        raise IndexError(f"K index {i} out of range 1..{p.size}")
-    ei = sign * b.mat.row_sum(i)
-    coeff = VFunc.v_power(ei if i <= p.m else -ei)
-    return LinComb._raw({SeriesBasis._make(b.mat, _shift_j(b.j, i, sign)): coeff})
-
-
-def _sign_exp(h: int, i: int, a: SuperMatrix, signed: bool) -> int:
-    if signed:
-        return s_sign(h, i, a)
-    return sigma(i, a) if h == a.profile.m else 0
-
-
-def act_e(h: int, b: SeriesBasis, signed: bool = False) -> LinComb:
-    """Raising action on a label, in four parts: plain moves in columns right
-    of h+1, twist-shifted moves in columns left of h, a difference quotient
-    when the (h+1, h) slot can be emptied, and the unconditional move into
-    the (h, h+1) slot.  Moves that would push an off-diagonal-block entry
-    past 1 produce the zero series and are dropped.
+    K_i^e scales by v_i^(e row_i sum) and shifts the twist by e e_i.  E_h
+    moves a unit from row h+1 to row h, F_h from row h to row h+1, in four
+    parts: plain moves in the columns on the source row's side, moves in the
+    columns on the destination row's side with the twist shifted by +alpha_h
+    (E) or -alpha_h (F), a difference quotient when the (source, destination)
+    slot can be emptied, and the unconditional move into the (destination,
+    source) slot.  Weights are v_dst powers of the f (E) or g (F) statistic.
+    Moves that would push an off-diagonal-block entry past 1 produce the zero
+    series and are dropped.
 
     With signed=True the sign prefactor uses the signed-basis statistic
-    instead of sigma; everything else is identical.
+    instead of sigma, taken on the source label for E and on each term's
+    target label for F; everything else is identical.
     """
     a = b.mat
     p = a.profile
     m, size = p.m, p.size
+    j = b.j
+    if letter.kind == K:
+        i = letter.index
+        if not 1 <= i <= size:
+            raise IndexError(f"K index {i} out of range 1..{size}")
+        coeff = v_sub(i, letter.power * a.row_sum(i), m)
+        return LinComb._raw({SeriesBasis._make(a, _shift_j(j, i, letter.power)): coeff})
+    h = letter.index
     if not 1 <= h < size:
         raise IndexError(f"generator index {h} out of range 1..{size - 1}")
-    j = b.j
-    row_src = a.rows[h]  # row h+1
-    row_dst = a.rows[h - 1]  # row h
-    out: dict = {}
+    is_e = letter.kind == E
+    src, dst = (h + 1, h) if is_e else (h, h + 1)
+    stat = f_stat if is_e else g_stat
+    row_src = a.rows[src - 1]
+    row_dst = a.rows[dst - 1]
+    twisted = None  # j + e_dst - e_src, built on first use
+    terms = []  # (target matrix, column of the sign statistic, coefficient, twist)
     for i in range(1, size + 1):
         if i in (h, h + 1) or row_src[i - 1] < 1:
             continue
-        target = a.shift(((h, i, 1), (h + 1, i, -1)))
+        target = a.shift(((dst, i, 1), (src, i, -1)))
         if target is None:
             continue  # odd entry would exceed 1: the series is zero
-        exp = f_stat(h, i, a)
-        c = VFunc.v_power(exp if h <= m else -exp) * quantum_integer(row_dst[i - 1] + 1)
-        if _sign_exp(h, i, a, signed) & 1:
-            c = -c
-        jj = j if i > h + 1 else _shift_j(_shift_j(j, h, 1), h + 1, -1)
-        accumulate(out, SeriesBasis._make(target, jj), c)
-    if row_src[h - 1] >= 1:
-        # Emptying the (h+1, h) slot turns the quantum bracket into a
-        # difference of two twists divided by v_h - v_h^{-1}.
-        target = a.shift(((h + 1, h, -1),))
-        exp = f_stat(h, h, a) - j[h - 1]
-        c = VFunc.v_power(exp if h <= m else -exp) / _vh_gap(h, m)
-        if _sign_exp(h, h, a, signed) & 1:
-            c = -c
-        j_plus = _shift_j(_shift_j(j, h, 1), h + 1, -1)
-        j_minus = _shift_j(_shift_j(j, h, -1), h + 1, -1)
-        accumulate(out, SeriesBasis._make(target, j_plus), c)
-        accumulate(out, SeriesBasis._make(target, j_minus), -c)
-    target = a.shift(((h, h + 1, 1),))
+        c = v_sub(dst, stat(h, i, a), m) * quantum_integer(row_dst[i - 1] + 1)
+        near = i < h if is_e else i > h + 1  # on the destination row's side
+        if near:
+            twisted = twisted or _shift_j(_shift_j(j, dst, 1), src, -1)
+            terms.append((target, i, c, twisted))
+        else:
+            terms.append((target, i, c, j))
+    if row_src[dst - 1] >= 1:
+        # Emptying the (src, dst) slot turns the quantum bracket into a
+        # difference of two twists divided by v_dst - v_dst^{-1}.
+        target = a.shift(((src, dst, -1),))
+        c = v_sub(dst, stat(h, dst, a) - j[dst - 1], m) / v_gap(dst, m)
+        twisted = twisted or _shift_j(_shift_j(j, dst, 1), src, -1)
+        terms.append((target, dst, c, twisted))
+        terms.append((target, dst, -c, _shift_j(_shift_j(j, h, -1), h + 1, -1)))
+    target = a.shift(((dst, src, 1),))
     if target is not None:
-        exp = f_stat(h, h + 1, a) + (-j[h] if h == m else j[h])
-        c = VFunc.v_power(exp if h <= m else -exp) * quantum_integer(row_dst[h] + 1)
-        if _sign_exp(h, h + 1, a, signed) & 1:
-            c = -c
-        accumulate(out, SeriesBasis._make(target, j), c)
-    return LinComb._raw(out)
-
-
-def act_f(h: int, b: SeriesBasis, signed: bool = False) -> LinComb:
-    """Lowering action, mirroring act_e with the g statistic, v_{h+1} powers,
-    and twist shifts by -alpha_h.
-
-    With signed=True the sign prefactor is the signed-basis statistic taken
-    on the term's target label.
-    """
-    a = b.mat
-    p = a.profile
-    m, size = p.m, p.size
-    if not 1 <= h < size:
-        raise IndexError(f"generator index {h} out of range 1..{size - 1}")
-    j = b.j
-    row_src = a.rows[h - 1]  # row h
-    row_dst = a.rows[h]  # row h+1
-    vpos = h + 1 <= m
+        exp = stat(h, src, a) + (-j[src - 1] if h == m else j[src - 1])
+        c = v_sub(dst, exp, m) * quantum_integer(row_dst[src - 1] + 1)
+        terms.append((target, src, c, j))
     out: dict = {}
-    for i in range(1, size + 1):
-        if i in (h, h + 1) or row_src[i - 1] < 1:
-            continue
-        target = a.shift(((h, i, -1), (h + 1, i, 1)))
-        if target is None:
-            continue
-        exp = g_stat(h, i, a)
-        c = VFunc.v_power(exp if vpos else -exp) * quantum_integer(row_dst[i - 1] + 1)
-        sign_mat = target if signed else a
-        if _sign_exp(h, i, sign_mat, signed) & 1:
-            c = -c
-        jj = j if i < h else _shift_j(_shift_j(j, h, -1), h + 1, 1)
+    for target, col, c, jj in terms:
+        # Both sign statistics vanish unless h = m.
+        if h == m:
+            if signed:
+                flip = s_sign(h, col, a if is_e else target)
+            else:
+                flip = sigma_hm(h, col, a)
+            if flip & 1:
+                c = -c
         accumulate(out, SeriesBasis._make(target, jj), c)
-    target = a.shift(((h + 1, h, 1),))
-    if target is not None:
-        exp = g_stat(h, h, a) + (-j[h - 1] if h == m else j[h - 1])
-        c = VFunc.v_power(exp if vpos else -exp) * quantum_integer(row_dst[h - 1] + 1)
-        sign_mat = target if signed else a
-        if _sign_exp(h, h, sign_mat, signed) & 1:
-            c = -c
-        accumulate(out, SeriesBasis._make(target, j), c)
-    if row_src[h] >= 1:
-        target = a.shift(((h, h + 1, -1),))
-        exp = g_stat(h, h + 1, a) - j[h]
-        c = VFunc.v_power(exp if vpos else -exp) / _vh_gap(h + 1, m)
-        sign_mat = target if signed else a
-        if _sign_exp(h, h + 1, sign_mat, signed) & 1:
-            c = -c
-        j_minus_a = _shift_j(_shift_j(j, h, -1), h + 1, 1)
-        j_minus_b = _shift_j(_shift_j(j, h, -1), h + 1, -1)
-        accumulate(out, SeriesBasis._make(target, j_minus_a), c)
-        accumulate(out, SeriesBasis._make(target, j_minus_b), -c)
     return LinComb._raw(out)
-
-
-def act_letter(letter: GenLetter, b: SeriesBasis) -> LinComb:
-    if letter.kind == K:
-        power = letter.power
-        if power in (1, -1):
-            return act_k(letter.index, power, b)
-        ei = power * b.mat.row_sum(letter.index)
-        coeff = VFunc.v_power(ei if letter.index <= b.mat.profile.m else -ei)
-        return LinComb._raw(
-            {SeriesBasis._make(b.mat, _shift_j(b.j, letter.index, power)): coeff}
-        )
-    if letter.kind == E:
-        return act_e(letter.index, b)
-    return act_f(letter.index, b)
 
 
 def act_element(letter: GenLetter, x: LinComb) -> LinComb:
@@ -238,14 +170,6 @@ def act_element(letter: GenLetter, x: LinComb) -> LinComb:
 
 def act_word(word: Word, x: LinComb) -> LinComb:
     return apply_word(word, x, act_letter)
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Finite witness of a label: all monomials of diagonal level <= level."""
-
-    element: LinComb
-    level: int
 
 
 def _diag_tuples(size: int, total: int):
@@ -257,8 +181,9 @@ def _diag_tuples(size: int, total: int):
             yield (first,) + rest
 
 
-def truncate(b: SeriesBasis, level: int) -> TruncatedSeries:
-    """sum over |lam| <= level of v^(lam * j) X^[A + diag(lam)]."""
+def truncate(b: SeriesBasis, level: int) -> LinComb:
+    """Finite witness of a label: sum over |lam| <= level of
+    v^(lam * j) X^[A + diag(lam)]."""
     if level < 0:
         raise ValueError("truncation level must be >= 0")
     p = b.mat.profile
@@ -266,13 +191,13 @@ def truncate(b: SeriesBasis, level: int) -> TruncatedSeries:
     for total in range(level + 1):
         for lam in _diag_tuples(p.size, total):
             terms[b.mat.add_diag(lam)] = VFunc.v_power(super_dot(lam, b.j, p))
-    return TruncatedSeries(LinComb._raw(terms), level)
+    return LinComb._raw(terms)
 
 
 def truncate_element(x: LinComb, level: int) -> LinComb:
     out = LinComb.zero()
     for b, c in x:
-        out = out + truncate(b, level).element.scale(c)
+        out = out + truncate(b, level).scale(c)
     return out
 
 
@@ -284,7 +209,7 @@ def compare_truncated(letter: GenLetter, b: SeriesBasis, level: int) -> bool:
     """
     if level < 1:
         raise ValueError("comparison needs level >= 1")
-    lhs = truncate(b, level).element.bind(lambda mat: act_tensor(letter, mat))
+    lhs = truncate(b, level).bind(lambda mat: act_tensor(letter, mat))
     rhs = truncate_element(act_letter(letter, b), level)
     window = level - 1
     lhs = lhs.filter_keys(lambda mat: mat.diag_total() <= window)
@@ -353,10 +278,13 @@ def expand_as_words(mat: SuperMatrix, j) -> tuple:
     word = monomial_word(mat, j)
     x = act_word(word, LinComb.single(one_label(mat.profile)))
     lead, rest = leading_decompose(x, mat)
-    assert len(lead) == 1, f"leading part of {key!r} is not a single label"
+    if len(lead) != 1:
+        raise RuntimeError(f"leading part of {key!r} is not a single label")
     (lead_key, u), = lead.terms.items()
-    assert lead_key == key, f"leading twist mismatch: {lead_key!r} != {key!r}"
-    assert u.as_unit_monomial() is not None, f"leading coefficient {u!r} is not +-v^c"
+    if lead_key != key:
+        raise RuntimeError(f"leading twist mismatch: {lead_key!r} != {key!r}")
+    if u.as_unit_monomial() is None:
+        raise RuntimeError(f"leading coefficient {u!r} is not +-v^c")
     u_inv = u.inv()
     out = {word: u_inv}
     remainder = sorted(
@@ -397,9 +325,6 @@ def to_signed(x: LinComb) -> LinComb:
     )
 
 
-from_signed = to_signed
-
-
 def series_element_to_json(x: LinComb) -> list:
     items = sorted(x.terms.items(), key=lambda kv: (kv[0].mat.rows, kv[0].j))
     return [
@@ -409,8 +334,4 @@ def series_element_to_json(x: LinComb) -> list:
 
 
 def series_element_from_json(obj) -> LinComb:
-    terms = {}
-    for t in obj:
-        b = SeriesBasis(SuperMatrix.from_json(t["A"]), t["j"])
-        terms[b] = VFunc.from_json(t["coeff"])
-    return LinComb(terms)
+    return element_from_json(obj, lambda t: SeriesBasis(SuperMatrix.from_json(t["A"]), t["j"]))

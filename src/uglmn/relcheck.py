@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .linear import LinComb
 from .polyaction import ZERO_ONE, DividedMonomial, act_factor, act_tensor
-from .qcoeff import ONE, VFunc
+from .qcoeff import ONE, VFunc, v_gap
 from .superindex import (
     Profile,
     all_matrices,
@@ -152,12 +152,7 @@ def compound_serre_words(m: int):
 
 
 def _qg3_rhs(a: int, p: Profile):
-    gap = (
-        VFunc.v_power(1) - VFunc.v_power(-1)
-        if a <= p.m
-        else VFunc.v_power(-1) - VFunc.v_power(1)
-    )
-    inv = gap.inv()
+    inv = v_gap(a, p.m).inv()
     return (
         (-inv, (k_letter(a, 1), k_letter(a + 1, -1))),
         (inv, (k_letter(a, -1), k_letter(a + 1, 1))),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 from .polyaction import (
     ONE_ZERO,
@@ -63,59 +64,64 @@ class GridReport:
         }
 
 
-def _tensor_agreement_shard(args) -> tuple:
-    m, n, bound, shard, nshards = args
-    p = Profile(m, n)
+def _check_tensor(a, letters) -> tuple:
+    """Closed form against coproduct on one matrix: (checked, failures)."""
+    cols = column_monomials(a)
+    failures = [
+        {"generator": letter.text(), "A": a.to_json()}
+        for letter in letters
+        if act_tensor(letter, a) != act_tensor_coproduct(letter, a, cols)
+    ]
+    return 1, failures
+
+
+def _check_series(a, letters, j_values, level) -> tuple:
+    """Label actions against truncated series on one matrix, every twist."""
+    failures = []
+    for j in j_values:
+        b = SeriesBasis(a, j)
+        for letter in letters:
+            if not compare_truncated(letter, b, level):
+                failures.append({"generator": letter.text(), "A": a.to_json(), "j": list(j)})
+    return len(j_values), failures
+
+
+def _grid_shard(args) -> tuple:
+    check, matrices, p, bound, shard, nshards = args
     letters = generator_letters(p)
     checked = 0
     failures = []
-    mats = itertools.islice(all_matrices(p, bound), shard, None, nshards)
-    for a in mats:
-        cols = column_monomials(a)
-        for letter in letters:
-            if act_tensor(letter, a) != act_tensor_coproduct(letter, a, cols):
-                failures.append({"generator": letter.text(), "A": a.to_json()})
-        checked += 1
+    for a in itertools.islice(matrices(p, bound), shard, None, nshards):
+        n, found = check(a, letters)
+        checked += n
+        failures.extend(found)
     return checked, failures
+
+
+def _run_grid(name, check, matrices, p, bound, threads) -> GridReport:
+    """Run check(matrix, letters) on every matrix the enumerator yields,
+    sharded across processes when more than one worker is asked for."""
+    workers = thread_count(threads)
+    jobs = [(check, matrices, p, bound, s, workers) for s in range(workers)]
+    if workers == 1:
+        shards = [_grid_shard(jobs[0])]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            shards = list(pool.map(_grid_shard, jobs))
+    report = GridReport(name)
+    for checked, failures in shards:
+        report.checked += checked
+        report.failures.extend(failures)
+    return report
 
 
 def tensor_agreement(p: Profile, bound: int, threads=None) -> GridReport:
     """Closed-form tensor action against the coproduct expansion, for every
     generator and every matrix with entries <= bound."""
     name = f"tensor-agreement {p.m}|{p.n} entries<={bound}"
-    workers = thread_count(threads)
-    report = GridReport(name)
-    if workers == 1:
-        checked, failures = _tensor_agreement_shard((p.m, p.n, bound, 0, 1))
-        report.checked, report.failures = checked, failures
-        return report
-    from concurrent.futures import ProcessPoolExecutor
-
-    jobs = [(p.m, p.n, bound, s, workers) for s in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for checked, failures in pool.map(_tensor_agreement_shard, jobs):
-            report.checked += checked
-            report.failures.extend(failures)
-    return report
-
-
-def _series_agreement_shard(args) -> tuple:
-    m, n, bound, j_values, level, shard, nshards = args
-    p = Profile(m, n)
-    letters = generator_letters(p)
-    checked = 0
-    failures = []
-    mats = itertools.islice(all_offdiag(p, bound), shard, None, nshards)
-    for a in mats:
-        for j in j_values:
-            b = SeriesBasis(a, j)
-            for letter in letters:
-                if not compare_truncated(letter, b, level):
-                    failures.append(
-                        {"generator": letter.text(), "A": a.to_json(), "j": list(j)}
-                    )
-            checked += 1
-    return checked, failures
+    return _run_grid(name, _check_tensor, all_matrices, p, bound, threads)
 
 
 def series_truncation_agreement(
@@ -125,23 +131,8 @@ def series_truncation_agreement(
     generator, every diagonal-free matrix with entries <= bound, and every
     twist vector in j_values."""
     name = f"series-truncation {p.m}|{p.n} entries<={bound} level={level}"
-    workers = thread_count(threads)
-    report = GridReport(name)
-    j_values = [tuple(j) for j in j_values]
-    if workers == 1:
-        checked, failures = _series_agreement_shard(
-            (p.m, p.n, bound, j_values, level, 0, 1)
-        )
-        report.checked, report.failures = checked, failures
-        return report
-    from concurrent.futures import ProcessPoolExecutor
-
-    jobs = [(p.m, p.n, bound, j_values, level, s, workers) for s in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for checked, failures in pool.map(_series_agreement_shard, jobs):
-            report.checked += checked
-            report.failures.extend(failures)
-    return report
+    check = partial(_check_series, j_values=[tuple(j) for j in j_values], level=level)
+    return _run_grid(name, check, all_offdiag, p, bound, threads)
 
 
 def default_j_values(p: Profile, values=(-1, 0, 1)) -> list:

@@ -33,10 +33,6 @@ class Profile:
         return 0 if i <= self.m else 1
 
 
-def parity_hat(i: int, p: Profile) -> int:
-    return p.parity(i)
-
-
 def super_dot(a, b, p: Profile) -> int:
     """Signed dot product: sum_i (-1)^parity(i) * a_i * b_i."""
     if len(a) != len(b) or len(a) != p.size:
@@ -63,14 +59,6 @@ def beta(h: int, size: int) -> tuple:
     if not 1 <= h < size:
         raise IndexError(f"index {h} out of range 1..{size - 1}")
     return tuple(1 if k in (h - 1, h) else 0 for k in range(size))
-
-
-def add_vec(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def sub_vec(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 class SuperMatrix:
@@ -137,21 +125,18 @@ class SuperMatrix:
     def is_offdiag(self) -> bool:
         return all(r[i] == 0 for i, r in enumerate(self.rows))
 
-    def odd_block(self, i: int, j: int) -> bool:
-        m = self.profile.m
-        return (i <= m) != (j <= m)
-
     def shift(self, moves):
         """Return the matrix with unit moves ((i, j, delta), ...) applied,
         or None when an off-diagonal-block entry would exceed 1 (the
         corresponding monomial is zero: odd variables square to zero).
-        Negative entries are impossible under the action guards.
+        A move that would make an entry negative is a ValueError.
         """
         m = self.profile.m
         rows = [list(r) for r in self.rows]
         for i, j, d in moves:
             x = rows[i - 1][j - 1] + d
-            assert x >= 0, "action guard violated: entry went negative"
+            if x < 0:
+                raise ValueError(f"entry ({i},{j}) would become {x} < 0")
             if x > 1 and (i <= m) != (j <= m):
                 return None
             rows[i - 1][j - 1] = x
@@ -168,9 +153,6 @@ class SuperMatrix:
             r[:i] + (r[i] + lam[i],) + r[i + 1 :] for i, r in enumerate(self.rows)
         )
         return SuperMatrix._make(self.profile, rows)
-
-    def diag(self) -> tuple:
-        return tuple(r[i] for i, r in enumerate(self.rows))
 
     def __repr__(self):
         body = ";".join(",".join(str(x) for x in r) for r in self.rows)

@@ -20,13 +20,11 @@ from uglmn.polyaction import (
 from uglmn.qcoeff import ONE, VFunc
 from uglmn.regular import (
     SeriesBasis,
-    act_e,
     act_element,
-    act_f,
+    act_letter,
     act_word,
     compare_truncated,
     expand_as_words,
-    from_signed,
     leading_decompose,
     monomial_word,
     multiply,
@@ -253,9 +251,9 @@ def test_criterion_7_signed_basis():
             b = SeriesBasis(a, (0,) * p.size)
             x = LinComb.single(b)
             for h in range(1, p.size):
-                if to_signed(act_element(e(h), from_signed(x))) != act_e(h, b, signed=True):
+                if to_signed(act_element(e(h), to_signed(x))) != act_letter(e(h), b, signed=True):
                     failures.append(("signed E", a, h))
-                if to_signed(act_element(f(h), from_signed(x))) != act_f(h, b, signed=True):
+                if to_signed(act_element(f(h), to_signed(x))) != act_letter(f(h), b, signed=True):
                     failures.append(("signed F", a, h))
                 checked += 2
     ok = not failures

@@ -175,6 +175,34 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_duplicate_labels_exit_2(capsys):
+    term = {"coeff": {"num": {"0": "1"}, "den": {"0": "1"}},
+            "A": {"m": 1, "n": 1, "entries": [[0, 0], [0, 0]]}, "j": [0, 0]}
+    code, out = run_cli(
+        capsys, "act", "--m", "1", "--n", "1", "--gen", "K1", "--input", json.dumps([term, term])
+    )
+    assert code == 2
+    assert out == ""
+
+
+def test_zero_denominator_exit_2(capsys):
+    elt = json.dumps([{"coeff": {"num": {"0": "1"}, "den": {}},
+                       "A": {"m": 1, "n": 1, "entries": [[0, 0], [0, 0]]}, "j": [0, 0]}])
+    code = main(["act", "--m", "1", "--n", "1", "--gen", "E1", "--input", elt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+
+
+def test_verify_negative_bound_exit_2(capsys):
+    code = main(["verify", "--m", "1", "--n", "1", "--suite", "tensor", "--bound", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_output_is_byte_deterministic(capsys):
     args = ["expand", "--m", "2", "--n", "1", "--A", "0,0,1;0,0,0;0,0,0", "--j", "1,0,-1"]
     _, out1 = run_cli(capsys, *args)

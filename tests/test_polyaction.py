@@ -238,3 +238,12 @@ def test_tensor_element_json_round_trip():
     # Canonical sort: row-major lexicographic matrices.
     keys = [t["A"]["entries"] for t in obj]
     assert keys == sorted(keys)
+
+
+def test_element_json_rejects_duplicate_terms():
+    one = {"num": {"0": "1"}, "den": {"0": "1"}}
+    with pytest.raises(ValueError):
+        factor_element_from_json([{"coeff": one, "a": [1, 0]}] * 2, P11, ZERO_ONE)
+    a = {"m": 1, "n": 1, "entries": [[1, 0], [0, 0]]}
+    with pytest.raises(ValueError):
+        tensor_element_from_json([{"coeff": one, "A": a}] * 2)

@@ -11,7 +11,6 @@ from uglmn.qcoeff import (
     PoleError,
     VFunc,
     VPoly,
-    evaluate,
     quantum_factorial,
     quantum_integer,
     v_sub,
@@ -87,16 +86,16 @@ def test_v_sub():
 
 
 def test_evaluate():
-    assert evaluate(quantum_integer(2), 3) == Fraction(10, 3)
-    assert evaluate(v(1), 1) == 1
+    assert quantum_integer(2).evaluate(3) == Fraction(10, 3)
+    assert v(1).evaluate(1) == 1
     with pytest.raises(PoleError):
-        evaluate((v(1) - v(-1)).inv(), 1)
+        (v(1) - v(-1)).inv().evaluate(1)
 
 
 def test_quantum_integer_at_one():
     # The canonical form of [i] has denominator v^(i-1), so v = 1 is not a pole.
     for i in range(0, 12):
-        assert evaluate(quantum_integer(i), 1) == i
+        assert quantum_integer(i).evaluate(1) == i
 
 
 def _random_vfunc(rng: random.Random) -> VFunc:

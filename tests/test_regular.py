@@ -9,14 +9,11 @@ from uglmn.linear import LinComb
 from uglmn.qcoeff import ONE, VFunc
 from uglmn.regular import (
     SeriesBasis,
-    act_e,
     act_element,
-    act_f,
-    act_k,
+    act_letter,
     act_word,
     compare_truncated,
     expand_as_words,
-    from_signed,
     leading_decompose,
     monomial_word,
     multiply,
@@ -71,7 +68,7 @@ def test_act_k_on_identity_label():
     for p in (P11, P21):
         o = one_label(p)
         for i in range(1, p.size + 1):
-            res = act_k(i, 1, o)
+            res = act_letter(k(i, 1), o)
             assert res == LinComb.single(label(zero_matrix(p), basis_vector(i, p.size)))
 
 
@@ -81,14 +78,14 @@ def test_act_k_inverse_pair():
     for _ in range(50):
         b = label(rng.choice(mats), tuple(rng.randint(-2, 2) for _ in range(3)))
         for i in range(1, 4):
-            fwd = act_k(i, 1, b)
-            back = fwd.bind(lambda key: act_k(i, -1, key))
+            fwd = act_letter(k(i, 1), b)
+            back = fwd.bind(lambda key: act_letter(k(i, -1), key))
             assert back == LinComb.single(b)
 
 
 def test_act_k_worked_value():
     b = label(unit_matrix(P11, 1, 2), (0, 0))
-    res = act_k(1, 1, b)
+    res = act_letter(k(1, 1), b)
     assert res == LinComb.single(
         label(unit_matrix(P11, 1, 2), (1, 0)), VFunc.v_power(1)
     )
@@ -98,15 +95,15 @@ def test_act_e_on_identity_label():
     for p in (P11, P21):
         o = one_label(p)
         for h in range(1, p.size):
-            assert act_e(h, o) == unit(unit_matrix(p, h, h + 1), (0,) * p.size)
-            assert act_f(h, o) == unit(unit_matrix(p, h + 1, h), (0,) * p.size)
+            assert act_letter(e(h), o) == unit(unit_matrix(p, h, h + 1), (0,) * p.size)
+            assert act_letter(f(h), o) == unit(unit_matrix(p, h + 1, h), (0,) * p.size)
 
 
 def test_act_e_worked_value_difference_quotient():
     # E_1 . (E_21)(0,0) at profile (1,1):
     #   [O(1,-1) - O(-1,-1)] / (v - v^-1)  -  (E_12 + E_21)(0,0)
     b = label(unit_matrix(P11, 2, 1), (0, 0))
-    res = act_e(1, b)
+    res = act_letter(e(1), b)
     gap_inv = (VFunc.v_power(1) - VFunc.v_power(-1)).inv()
     o = zero_matrix(P11)
     both = SuperMatrix(P11, [[0, 1], [1, 0]])
@@ -124,7 +121,7 @@ def test_act_f_worked_value():
     # F_1 . (E_12)(0,0) at profile (1,1):
     #   (E_12 + E_21)(0,0) + [O(-1,1) - O(-1,-1)] / (v^-1 - v)
     b = label(unit_matrix(P11, 1, 2), (0, 0))
-    res = act_f(1, b)
+    res = act_letter(f(1), b)
     gap_inv = (VFunc.v_power(-1) - VFunc.v_power(1)).inv()
     o = zero_matrix(P11)
     both = SuperMatrix(P11, [[0, 1], [1, 0]])
@@ -143,7 +140,7 @@ def test_act_e_guards_leave_only_last_term():
     # summand survives.
     p = P21
     b = label(unit_matrix(p, 1, 3), (0, 0, 0))
-    res = act_e(2, b)
+    res = act_letter(e(2), b)
     # row 3 of A is zero, a_{2,3} = 0: E_2 target is A + E_23.
     target = b.mat.shift(((2, 3, 1),))
     assert set(res.terms) == {label(target, (0, 0, 0))}
@@ -155,28 +152,28 @@ def test_odd_square_vanishes_on_labels():
     for a in all_offdiag(P11, 1):
         for j in all_j(P11, (0, 1)):
             b = label(a, j)
-            assert act_element(e(1), act_e(1, b)).is_zero()
-            assert act_element(f(1), act_f(1, b)).is_zero()
+            assert act_element(e(1), act_letter(e(1), b)).is_zero()
+            assert act_element(f(1), act_letter(f(1), b)).is_zero()
 
 
 def test_truncate_levels():
     o = one_label(P11)
     t0 = truncate(o, 0)
-    assert t0.element == LinComb.single(zero_matrix(P11))
+    assert t0 == LinComb.single(zero_matrix(P11))
     t1 = truncate(o, 1)
-    assert set(t1.element.terms) == {
+    assert set(t1.terms) == {
         zero_matrix(P11),
         unit_matrix(P11, 1, 1),
         unit_matrix(P11, 2, 2),
     }
-    assert all(c == ONE for _, c in t1.element)
+    assert all(c == ONE for _, c in t1)
     # Twist e_1 weights the first diagonal slot by v, the odd slot by 1.
     t = truncate(label(zero_matrix(P11), (1, 0)), 1)
-    assert t.element[unit_matrix(P11, 1, 1)] == VFunc.v_power(1)
-    assert t.element[unit_matrix(P11, 2, 2)] == ONE
+    assert t[unit_matrix(P11, 1, 1)] == VFunc.v_power(1)
+    assert t[unit_matrix(P11, 2, 2)] == ONE
     # Twist e_2 weights the odd diagonal slot by v^-1.
     t = truncate(label(zero_matrix(P11), (0, 1)), 1)
-    assert t.element[unit_matrix(P11, 2, 2)] == VFunc.v_power(-1)
+    assert t[unit_matrix(P11, 2, 2)] == VFunc.v_power(-1)
 
 
 def test_compare_truncated_k_and_e():
@@ -358,7 +355,7 @@ def test_to_signed_involution():
     mats = list(all_offdiag(P12, 1))
     for _ in range(100):
         x = _random_element(P12, rng, mats, 3)
-        assert to_signed(from_signed(x)) == x
+        assert to_signed(to_signed(x)) == x
     # Labels with trivial statistic are fixed.
     assert to_signed(unit(zero_matrix(P12), (1, 0, -1))) == unit(
         zero_matrix(P12), (1, 0, -1)
@@ -374,19 +371,36 @@ def test_signed_action_is_conjugated_action(p):
         b = label(a, (0,) * p.size)
         x = LinComb.single(b)
         for h in range(1, p.size):
-            conj_e = to_signed(act_element(e(h), from_signed(x)))
-            assert conj_e == act_e(h, b, signed=True), (a, h)
-            conj_f = to_signed(act_element(f(h), from_signed(x)))
-            assert conj_f == act_f(h, b, signed=True), (a, h)
+            conj_e = to_signed(act_element(e(h), to_signed(x)))
+            assert conj_e == act_letter(e(h), b, signed=True), (a, h)
+            conj_f = to_signed(act_element(f(h), to_signed(x)))
+            assert conj_f == act_letter(f(h), b, signed=True), (a, h)
 
 
 def test_series_element_json_round_trip():
     b = label(unit_matrix(P11, 2, 1), (0, 0))
-    x = act_e(1, b)
+    x = act_letter(e(1), b)
     obj = series_element_to_json(x)
     assert series_element_from_json(obj) == x
     keys = [(t["A"]["entries"], t["j"]) for t in obj]
     assert keys == sorted(keys)
+
+
+def test_series_element_json_rejects_duplicate_labels():
+    # Two copies of 1.O(0) must not collapse into one.
+    term = series_element_to_json(LinComb.single(one_label(P11)))[0]
+    with pytest.raises(ValueError):
+        series_element_from_json([term, term])
+
+
+def test_expand_as_words_invariant_is_an_exception(monkeypatch):
+    # A broken leading term raises an explicit error, also under python -O.
+    import uglmn.regular as regular
+
+    monkeypatch.setattr(regular, "_EXPAND_CACHE", {})
+    monkeypatch.setattr(regular, "monomial_word", lambda mat, j: ())
+    with pytest.raises(RuntimeError):
+        expand_as_words(unit_matrix(P11, 1, 2), (0, 0))
 
 
 def test_word_text_round_trip():

@@ -18,7 +18,6 @@ from uglmn.superindex import (
     g_stat,
     lower_neg,
     matrix_parity,
-    parity_hat,
     preceq,
     s_sign,
     sigma,
@@ -48,11 +47,11 @@ def test_profile_validation():
 
 def test_parity_hat():
     p = Profile(2, 1)
-    assert parity_hat(1, p) == 0
-    assert parity_hat(2, p) == 0
-    assert parity_hat(3, p) == 1
+    assert p.parity(1) == 0
+    assert p.parity(2) == 0
+    assert p.parity(3) == 1
     with pytest.raises(IndexError):
-        parity_hat(4, p)
+        p.parity(4)
 
 
 def test_super_dot():
@@ -260,8 +259,14 @@ def test_shift_drops_odd_overflow():
     assert a.shift(((1, 2, 1),)) is None  # odd-block entry would reach 2
     b = a.shift(((2, 1, 1),))
     assert b.entry(2, 1) == 1
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         a.shift(((2, 1, -1),))
+
+
+def test_shift_rejects_negative_entry():
+    # An explicit check, not an assert, so it also holds under python -O.
+    with pytest.raises(ValueError):
+        zero_matrix(P11).shift(((1, 2, -1),))
 
 
 def test_matrix_validation_and_json():
