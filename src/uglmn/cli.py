@@ -38,7 +38,7 @@ from .regular import (
 )
 from .superindex import Profile, SuperMatrix
 from .suites import run_factor_suites, run_series_suites, run_tensor_suites
-from .words import apply_word, word_from_text, word_text
+from .words import K, apply_word, word_from_text, word_text
 
 FLAVORS = {"01": ZERO_ONE, "10": ONE_ZERO}
 
@@ -83,11 +83,16 @@ def parse_vector(text: str, size: int) -> tuple:
     return tuple(int(x) for x in vals)
 
 
-def parse_generator(text: str):
+def parse_generator(text: str, p: Profile):
+    """One generator letter whose index exists at profile p."""
     word = word_from_text(text)
     if len(word) != 1:
         raise InputError(f"expected a single generator token, got {text!r}")
-    return word[0]
+    letter = word[0]
+    top = p.size if letter.kind == K else p.size - 1
+    if letter.index > top:
+        raise InputError(f"generator {text!r} needs an index in 1..{top} at {p.m}|{p.n}")
+    return letter
 
 
 def parse_element(text: str, space: str, p: Profile, flavor: str) -> LinComb:
@@ -118,7 +123,7 @@ def _emit(obj) -> None:
 
 def cmd_act(args) -> int:
     p = Profile(args.m, args.n)
-    letter = parse_generator(args.gen)
+    letter = parse_generator(args.gen, p)
     flavor = FLAVORS[args.flavor]
     x = parse_element(args.input, args.space, p, flavor)
     if args.space == "factor":
@@ -160,7 +165,7 @@ def cmd_truncate(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     p = Profile(args.m, args.n)
-    letter = parse_generator(args.gen)
+    letter = parse_generator(args.gen, p)
     mat = parse_matrix(args.A, p)
     j = parse_vector(args.j, p.size)
     ok = compare_truncated(letter, SeriesBasis(mat, j), args.L)

@@ -131,11 +131,21 @@ def accumulate(into: dict, key, coeff: VFunc) -> None:
 
 def element_from_json(obj, parse_key) -> LinComb:
     """An element from JSON terms [{"coeff": ..., <key fields>}, ...], with
-    parse_key(term) -> basis key; a key given twice is an error."""
+    parse_key(term) -> basis key.  Every malformed shape is a ValueError: an
+    element that is not a list, a term that is not an object, a field of the
+    wrong type, and a key given twice."""
+    if not isinstance(obj, list):
+        raise ValueError(f"element must be a JSON list of terms, got {type(obj).__name__}")
     terms = {}
     for t in obj:
-        key = parse_key(t)
+        if not isinstance(t, dict):
+            raise ValueError(f"element term must be a JSON object, got {t!r}")
+        try:
+            key = parse_key(t)
+            coeff = VFunc.from_json(t["coeff"])
+        except TypeError as exc:
+            raise ValueError(f"malformed element term {t!r}: {exc}") from exc
         if key in terms:
             raise ValueError(f"duplicate term {key!r} in element")
-        terms[key] = VFunc.from_json(t["coeff"])
+        terms[key] = coeff
     return LinComb(terms)

@@ -22,7 +22,7 @@ the two must agree.
 from __future__ import annotations
 
 from .linear import LinComb, element_from_json
-from .qcoeff import ONE, VFunc, quantum_integer, v_sub
+from .qcoeff import VFunc, quantum_integer, v_sub
 from .superindex import Profile, SuperMatrix, f_stat, g_stat, sigma
 from .words import E, K, GenLetter, Word, apply_word
 from .words import f as f_letter
@@ -106,6 +106,22 @@ def _coeff(h: int, exp: int, m: int, bracket: int, neg: bool) -> VFunc:
     return c
 
 
+# Coproduct move coefficient cache: (bracket, exponent, negate) -> VFunc.
+_MOVE_CACHE: dict = {}
+
+
+def _move_coeff(bracket: int, exp: int, neg: bool) -> VFunc:
+    """(+-) [bracket] v^exp, cached."""
+    key = (bracket, exp, neg)
+    c = _MOVE_CACHE.get(key)
+    if c is None:
+        c = quantum_integer(bracket) * VFunc.v_power(exp)
+        if neg:
+            c = -c
+        _MOVE_CACHE[key] = c
+    return c
+
+
 _EMPTY = LinComb._raw({})
 
 
@@ -118,7 +134,8 @@ def _k_coeff(x: DividedMonomial, i: int, power: int) -> VFunc:
 
 
 def _ef_factor(x: DividedMonomial, kind: str, h: int):
-    """One E_h/F_h move on a divided monomial: (target, coefficient) or None."""
+    """One E_h/F_h move on a divided monomial: (target exponents, n) with
+    coefficient [n], or None."""
     a = x.exps
     size = x.profile.size
     if not 1 <= h < size:
@@ -128,16 +145,13 @@ def _ef_factor(x: DividedMonomial, kind: str, h: int):
             return None
         if a[h - 1] == 1 and x.odd_slot(h):
             return None  # odd variable squares to zero
-        exps = a[: h - 1] + (a[h - 1] + 1, a[h] - 1) + a[h + 1 :]
-        coeff = quantum_integer(a[h - 1] + 1)
+        return a[: h - 1] + (a[h - 1] + 1, a[h] - 1) + a[h + 1 :], a[h - 1] + 1
     else:
         if a[h - 1] == 0:
             return None
         if a[h] == 1 and x.odd_slot(h + 1):
             return None
-        exps = a[: h - 1] + (a[h - 1] - 1, a[h] + 1) + a[h + 1 :]
-        coeff = quantum_integer(a[h] + 1)
-    return DividedMonomial._make(x.profile, x.flavor, exps), coeff
+        return a[: h - 1] + (a[h - 1] - 1, a[h] + 1) + a[h + 1 :], a[h] + 1
 
 
 def act_factor(letter: GenLetter, x: DividedMonomial) -> LinComb:
@@ -147,7 +161,9 @@ def act_factor(letter: GenLetter, x: DividedMonomial) -> LinComb:
     res = _ef_factor(x, letter.kind, letter.index)
     if res is None:
         return _EMPTY
-    return LinComb._raw({res[0]: res[1]})
+    exps, bracket = res
+    target = DividedMonomial._make(x.profile, x.flavor, exps)
+    return LinComb._raw({target: quantum_integer(bracket)})
 
 
 def column_flavor(p: Profile, j: int) -> str:
@@ -206,55 +222,48 @@ def act_tensor_coproduct(letter: GenLetter, a: SuperMatrix, _cols=None) -> LinCo
     Ktilde_h = K_h K_{h+1}^{-1}; F_h as Ktilde_h^{-1} x .. x F_h x 1 x ...
     Moving an odd generator past the first factors inserts the Koszul sign
     (-1)^(sum of the skipped column parities).
+
+    Every K-type weight is a pure power of v, so it is carried as an integer
+    exponent: K_i^e scales a column with exponents c by v^(s(i) e c_i), where
+    s(i) = +1 for i <= m and -1 otherwise.  A K letter sums these exponents
+    over the columns; for E/F the Ktilde weights of the columns right of
+    (for E) or left of (for F) the moving factor form a running sum, the
+    tail, and each move builds the single coefficient +-[bracket] v^tail.
     """
     p = a.profile
-    size = p.size
+    m, size = p.m, p.size
     cols = column_monomials(a) if _cols is None else _cols
     if letter.kind == K:
-        coeff = ONE
-        for col in cols:
-            coeff = coeff * _k_coeff(col, letter.index, letter.power)
-        return LinComb.single(a, coeff)
+        i = letter.index
+        if not 1 <= i <= size:
+            raise IndexError(f"K index {i} out of range 1..{size}")
+        sgn = letter.power if i <= m else -letter.power
+        return LinComb.single(a, VFunc.v_power(sum(sgn * col.exps[i - 1] for col in cols)))
 
     h = letter.index
     if not 1 <= h < size:
         raise IndexError(f"generator index {h} out of range 1..{size - 1}")
-    odd = h == p.m
+    odd = h == m
     is_e = letter.kind == E
-
-    def ktilde(col) -> VFunc:
-        if is_e:
-            return _k_coeff(col, h, 1) * _k_coeff(col, h + 1, -1)
-        return _k_coeff(col, h, -1) * _k_coeff(col, h + 1, 1)
-
-    if is_e:
-        # Suffix products of the Ktilde coefficients right of each position.
-        tail = [ONE] * (size + 1)
-        for q in range(size - 1, -1, -1):
-            tail[q] = ktilde(cols[q]) * tail[q + 1]
-    else:
-        # Prefix products of the inverse coefficients left of each position.
-        tail = [ONE] * (size + 1)
-        for q in range(size):
-            tail[q + 1] = tail[q] * ktilde(cols[q])
-
+    # Exponent of Ktilde_h on each column: s(h) c_h - s(h+1) c_{h+1}.
+    s_h = 1 if h <= m else -1
+    s_h1 = 1 if h + 1 <= m else -1
+    weights = [s_h * col.exps[h - 1] - s_h1 * col.exps[h] for col in cols]
+    # E: Ktilde_h on every column right of the mover; F: Ktilde_h^{-1} left.
+    tail = sum(weights) if is_e else 0
     out: dict = {}
     par = 0  # parity of the columns already passed
-    for pidx in range(size):
-        col = cols[pidx]
+    for pidx, (col, w) in enumerate(zip(cols, weights)):
+        if is_e:
+            tail -= w
         res = _ef_factor(col, letter.kind, h)
         if res is not None:
-            mono, c = res
-            coeff = c * (tail[pidx + 1] if is_e else tail[pidx])
-            if odd and (par & 1):
-                coeff = -coeff
-            target = a.with_column(pidx + 1, mono.exps)
-            prev = out.get(target)
-            s = coeff if prev is None else prev + coeff
-            if s.is_zero():
-                out.pop(target, None)
-            else:
-                out[target] = s
+            exps, bracket = res
+            # Each column moves to a distinct target, so nothing accumulates.
+            target = a.with_column(pidx + 1, exps)
+            out[target] = _move_coeff(bracket, tail, odd and (par & 1) == 1)
+        if not is_e:
+            tail -= w
         par += col.parity()
     return LinComb._raw(out)
 

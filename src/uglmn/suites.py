@@ -91,7 +91,7 @@ def _grid_shard(args) -> tuple:
     letters = generator_letters(p)
     checked = 0
     failures = []
-    for a in itertools.islice(matrices(p, bound), shard, None, nshards):
+    for a in matrices(p, bound, shard, nshards):
         n, found = check(a, letters)
         checked += n
         failures.extend(found)

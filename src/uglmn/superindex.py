@@ -332,29 +332,38 @@ def downset(a: SuperMatrix) -> list:
     return out
 
 
-def all_matrices(p: Profile, bound: int):
-    """Iterate every SuperMatrix with entries <= bound (off-diagonal blocks
-    capped at 1), in row-major lexicographic order."""
-    m, size = p.m, p.size
-    ranges = []
-    for i in range(size):
-        for j in range(size):
-            cap = min(bound, 1) if (i < m) != (j < m) else bound
-            ranges.append(range(cap + 1))
-    for flat in itertools.product(*ranges):
-        rows = tuple(flat[i * size : (i + 1) * size] for i in range(size))
-        yield SuperMatrix._make(p, rows)
-
-
-def all_offdiag(p: Profile, bound: int):
-    """Iterate every diagonal-free SuperMatrix with entries <= bound."""
-    m, size = p.m, p.size
-    positions = [(i, j) for i in range(size) for j in range(size) if i != j]
+def _entry_choices(p: Profile, bound: int, positions, shard: int, nshards: int):
+    """Entry tuples over the given (row, column) positions with entries <= bound
+    (off-diagonal blocks capped at 1), in lexicographic order; only the
+    tuples with flat index = shard mod nshards, skipped before any matrix is
+    built from them."""
+    if not 0 <= shard < nshards:
+        raise ValueError(f"shard {shard} out of range 0..{nshards - 1}")
+    m = p.m
     ranges = [
         range((min(bound, 1) if (i < m) != (j < m) else bound) + 1)
         for i, j in positions
     ]
-    for choice in itertools.product(*ranges):
+    return itertools.islice(itertools.product(*ranges), shard, None, nshards)
+
+
+def all_matrices(p: Profile, bound: int, shard: int = 0, nshards: int = 1):
+    """Iterate every SuperMatrix with entries <= bound (off-diagonal blocks
+    capped at 1), in row-major lexicographic order; with nshards > 1 only
+    every nshards-th of them, starting at index shard."""
+    size = p.size
+    positions = [(i, j) for i in range(size) for j in range(size)]
+    for flat in _entry_choices(p, bound, positions, shard, nshards):
+        rows = tuple(flat[i * size : (i + 1) * size] for i in range(size))
+        yield SuperMatrix._make(p, rows)
+
+
+def all_offdiag(p: Profile, bound: int, shard: int = 0, nshards: int = 1):
+    """Iterate every diagonal-free SuperMatrix with entries <= bound; with
+    nshards > 1 only every nshards-th of them, starting at index shard."""
+    size = p.size
+    positions = [(i, j) for i in range(size) for j in range(size) if i != j]
+    for choice in _entry_choices(p, bound, positions, shard, nshards):
         rows = [[0] * size for _ in range(size)]
         for (i, j), x in zip(positions, choice):
             rows[i][j] = x

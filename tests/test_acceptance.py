@@ -9,6 +9,8 @@ tensor-agreement grid (criterion 2) is the long pole: its (2,2) slice walks
 import random
 import time
 
+import pytest
+
 from uglmn.linear import LinComb
 from uglmn.polyaction import (
     ONE_ZERO,
@@ -78,6 +80,7 @@ def test_criterion_1_factor_relation_suite():
     assert ok, failures
 
 
+@pytest.mark.slow
 def test_criterion_2_tensor_oracle_equivalence():
     started = time.time()
     failures = []

@@ -175,6 +175,31 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2
 
 
+def _assert_input_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+
+
+def test_element_object_instead_of_list_exit_2(capsys):
+    _assert_input_error(
+        capsys, ["act", "--m", "1", "--n", "1", "--gen", "E1", "--input", '{"a": 1}']
+    )
+
+
+def test_element_term_not_an_object_exit_2(capsys):
+    _assert_input_error(capsys, ["act", "--m", "1", "--n", "1", "--gen", "E1", "--input", "[1]"])
+
+
+def test_out_of_range_generator_on_empty_element_exit_2(capsys):
+    for gen in ("E5", "F2", "K3", "K3^-1"):
+        _assert_input_error(
+            capsys, ["act", "--m", "1", "--n", "1", "--gen", gen, "--input", "[]"]
+        )
+
+
 def test_duplicate_labels_exit_2(capsys):
     term = {"coeff": {"num": {"0": "1"}, "den": {"0": "1"}},
             "A": {"m": 1, "n": 1, "entries": [[0, 0], [0, 0]]}, "j": [0, 0]}

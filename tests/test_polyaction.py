@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from uglmn import polyaction
 from uglmn.linear import LinComb
 from uglmn.polyaction import (
     ONE_ZERO,
@@ -24,6 +25,7 @@ from uglmn.polyaction import (
     tensor_element_to_json,
 )
 from uglmn.qcoeff import ONE, VFunc, quantum_integer
+from uglmn.suites import tensor_agreement
 from uglmn.superindex import (
     Profile,
     SuperMatrix,
@@ -177,6 +179,42 @@ def test_coproduct_k_diagonal():
             res = act_tensor_coproduct(k(i), a)
             ei = a.row_sum(i)
             assert res == single(a, VFunc.v_power(ei if i <= 2 else -ei))
+
+
+def test_coproduct_k_is_product_of_factor_actions():
+    # K_i^e acts on X^[A] by the product of its actions on the column factors.
+    for p in (P11, P21, P12):
+        for a in all_matrices(p, 1):
+            cols = column_monomials(a)
+            for i in range(1, p.size + 1):
+                for power in (1, -1, 2):
+                    letter = k(i, power)
+                    expected = ONE
+                    for col in cols:
+                        expected = expected * act_factor(letter, col)[col]
+                    assert act_tensor_coproduct(letter, a, cols) == single(a, expected)
+
+
+def _drop_koszul_sign(monkeypatch):
+    # Every column counts as even, so no Koszul sign is ever inserted.
+    monkeypatch.setattr(DividedMonomial, "parity", lambda self: 0)
+
+
+def _shift_tail_exponent(monkeypatch):
+    # A nonzero Ktilde tail comes out one power of v too high.
+    move = polyaction._move_coeff
+    monkeypatch.setattr(
+        polyaction, "_move_coeff", lambda n, exp, neg: move(n, exp + 1 if exp else exp, neg)
+    )
+
+
+@pytest.mark.parametrize("mutate", [_drop_koszul_sign, _shift_tail_exponent])
+def test_tensor_agreement_catches_coproduct_mutations(monkeypatch, mutate):
+    assert tensor_agreement(P11, 2, threads=1).all_pass
+    mutate(monkeypatch)
+    report = tensor_agreement(P11, 2, threads=1)
+    assert report.checked == 36
+    assert report.failures
 
 
 def test_act_word_tensor_basics():
