@@ -36,7 +36,7 @@ from .regular import (
     series_element_to_json,
     truncate,
 )
-from .superindex import Profile, SuperMatrix
+from .superindex import Profile, SuperMatrix, json_ints
 from .suites import run_factor_suites, run_series_suites, run_tensor_suites
 from .words import K, apply_word, word_from_text, word_text
 
@@ -61,7 +61,10 @@ def _read_source(text: str) -> str:
 def parse_matrix(text: str, p: Profile) -> SuperMatrix:
     src = _read_source(text)
     if src.startswith("{"):
-        return SuperMatrix.from_json(json.loads(src))
+        try:
+            return SuperMatrix.from_json(json.loads(src))
+        except TypeError as exc:
+            raise InputError(f"malformed matrix {text!r}: {exc}") from exc
     try:
         rows = [[int(x) for x in row.split(",")] for row in src.split(";")]
     except ValueError as exc:
@@ -72,7 +75,7 @@ def parse_matrix(text: str, p: Profile) -> SuperMatrix:
 def parse_vector(text: str, size: int) -> tuple:
     src = _read_source(text)
     if src.startswith("["):
-        vals = json.loads(src)
+        vals = json_ints(json.loads(src), f"vector {text!r}")
     else:
         try:
             vals = [int(x) for x in src.split(",")]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .linear import LinComb, element_from_json
 from .qcoeff import VFunc, quantum_integer, v_sub
-from .superindex import Profile, SuperMatrix, f_stat, g_stat, sigma
+from .superindex import Profile, SuperMatrix, f_stat, g_stat, json_ints, sigma
 from .words import E, K, GenLetter, Word, apply_word
 from .words import f as f_letter
 
@@ -310,7 +310,9 @@ def factor_element_to_json(x: LinComb) -> list:
 
 
 def factor_element_from_json(obj, profile: Profile, flavor: str) -> LinComb:
-    return element_from_json(obj, lambda t: DividedMonomial(profile, flavor, t["a"]))
+    return element_from_json(
+        obj, lambda t: DividedMonomial(profile, flavor, json_ints(t["a"], "exponents a"))
+    )
 
 
 def tensor_element_to_json(x: LinComb) -> list:

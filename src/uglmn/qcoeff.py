@@ -4,6 +4,13 @@ reduced rational functions, and the quantum combinatorics [i], [a]!, v_h.
 Everything is immutable after construction and kept in a canonical form:
 a VFunc stores a gcd-reduced fraction num/den with monic denominator, and
 zero is always 0/1.  Laurent monomials v^-k live as 1/v^k.
+
+The constructor runs a full polynomial gcd; arithmetic on canonical operands
+skips it wherever the reduced form already says the gcd is 1:
+- a product with a monomial a v^t can only cancel powers of v;
+- after cross-reduction, n1 n2 and d1 d2 share no factor;
+- the inverse den/num is already reduced;
+- a sum with g = gcd(d1, d2) can only cancel gcd(t, g), t = n1 d2/g + n2 d1/g.
 """
 
 from __future__ import annotations
@@ -215,6 +222,14 @@ _P_ZERO = VPoly._raw({})
 _P_ONE = VPoly._raw({0: 1})
 
 
+def _monic_pair(num: VPoly, den: VPoly):
+    """(num, den) divided by the leading coefficient of den."""
+    lc = den.leading_coeff()
+    if lc == 1:
+        return num, den
+    return tuple(VPoly._raw({e: _div_coeff(c, lc) for e, c in p.c.items()}) for p in (num, den))
+
+
 class VFunc:
     """A rational function in v over Q, always in canonical reduced form:
     gcd(num, den) = 1, den monic and nonzero, zero stored as 0/1.
@@ -238,12 +253,7 @@ class VFunc:
         if g.c != _P_ONE.c:
             num = num.div_exact(g)
             den = den.div_exact(g)
-        lc = den.leading_coeff()
-        if lc != 1:
-            num = VPoly._raw({e: _div_coeff(c, lc) for e, c in num.c.items()})
-            den = VPoly._raw({e: _div_coeff(c, lc) for e, c in den.c.items()})
-        self.num = num
-        self.den = den
+        self.num, self.den = _monic_pair(num, den)
 
     @classmethod
     def _raw(cls, num: VPoly, den: VPoly) -> "VFunc":
@@ -252,6 +262,11 @@ class VFunc:
         f.num = num
         f.den = den
         return f
+
+    @classmethod
+    def _coprime(cls, num: VPoly, den: VPoly) -> "VFunc":
+        # Trusted constructor: num nonzero, gcd(num, den) = 1; den made monic.
+        return cls._raw(*_monic_pair(num, den))
 
     @classmethod
     def from_int(cls, k) -> "VFunc":
@@ -318,7 +333,18 @@ class VFunc:
                 return VFunc._raw(s, VPoly._raw({kk: 1}) if kk else _P_ONE)
         if d1 == d2:
             return VFunc(self.num + other.num, self.den)
-        return VFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        # Henrici: t = n1 (d2/g) + n2 (d1/g), g = gcd(d1, d2), is prime to d1/g
+        # and d2/g, so only gcd(t, g) can cancel; t != 0 (x + y = 0 forces d1 = d2).
+        g = self.den.gcd(other.den)
+        if g.c == _P_ONE.c:
+            t = self.num * other.den + other.num * self.den
+            return VFunc._coprime(t, self.den * other.den)
+        dd1 = self.den.div_exact(g)
+        t = self.num * other.den.div_exact(g) + other.num * dd1
+        g = t.gcd(g)
+        if g.c == _P_ONE.c:
+            return VFunc._coprime(t, dd1 * other.den)
+        return VFunc._coprime(t.div_exact(g), dd1 * other.den.div_exact(g))
 
     __radd__ = __add__
 
@@ -359,21 +385,39 @@ class VFunc:
                     num = num.shift(-drop)
                     kk -= drop
                 return VFunc._raw(num, VPoly._raw({kk: 1}) if kk else _P_ONE)
-        # Cross-reduce before multiplying out.
+        # A monomial a v^t shares only v factors with the other operand.
+        if len(n2) == 1 and len(d2) == 1:
+            return self._times_monomial(other)
+        if len(n1) == 1 and len(d1) == 1:
+            return other._times_monomial(self)
+        # Cross-reduce before multiplying out; then no factor is shared.
         g1 = self.num.gcd(other.den)
         g2 = other.num.gcd(self.den)
         n1 = self.num if g1.c == _P_ONE.c else self.num.div_exact(g1)
         dd2 = other.den if g1.c == _P_ONE.c else other.den.div_exact(g1)
         n2 = other.num if g2.c == _P_ONE.c else other.num.div_exact(g2)
         dd1 = self.den if g2.c == _P_ONE.c else self.den.div_exact(g2)
-        return VFunc(n1 * n2, dd1 * dd2)
+        return VFunc._coprime(n1 * n2, dd1 * dd2)
 
     __rmul__ = __mul__
+
+    def _times_monomial(self, mono: "VFunc") -> "VFunc":
+        # self * a v^e/v^k, both nonzero.  With self = v^(vn - vd) n0/d0 and
+        # n0, d0 prime to v, the product is a v^s n0/d0: no gcd needed.
+        (e, a), = mono.num.c.items()
+        (k, _), = mono.den.c.items()
+        vn, vd = self.num.valuation(), self.den.valuation()
+        s = e - k + vn - vd
+        sn, sd = max(s, 0) - vn, max(-s, 0) - vd
+        num = self.num
+        if sn or a != 1:
+            num = VPoly._raw({x + sn: a * c for x, c in num.c.items()})
+        return VFunc._raw(num, self.den.shift(sd) if sd else self.den)
 
     def inv(self) -> "VFunc":
         if not self.num.c:
             raise ZeroDivisionError("inverse of the zero rational function")
-        return VFunc(self.den, self.num)
+        return VFunc._coprime(self.den, self.num)
 
     def __truediv__(self, other: "VFunc") -> "VFunc":
         if isinstance(other, int):
@@ -468,8 +512,12 @@ def quantum_factorial(a: int) -> VFunc:
     if f is None:
         if a < 0:
             raise ValueError("quantum factorial of a negative argument")
-        f = quantum_factorial(a - 1) * quantum_integer(a)
-        _QFACT[a] = f
+        # _QFACT holds 0..top without gaps; fill it upward to a.
+        top = max(_QFACT)
+        f = _QFACT[top]
+        for i in range(top + 1, a + 1):
+            f = f * quantum_integer(i)
+            _QFACT[i] = f
     return f
 
 

@@ -24,6 +24,7 @@ from .superindex import (
     a_bar,
     f_stat,
     g_stat,
+    json_ints,
     preceq,
     s_sign,
     sigma_hm,
@@ -334,4 +335,6 @@ def series_element_to_json(x: LinComb) -> list:
 
 
 def series_element_from_json(obj) -> LinComb:
-    return element_from_json(obj, lambda t: SeriesBasis(SuperMatrix.from_json(t["A"]), t["j"]))
+    return element_from_json(
+        obj, lambda t: SeriesBasis(SuperMatrix.from_json(t["A"]), json_ints(t["j"], "twist j"))
+    )

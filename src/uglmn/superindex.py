@@ -33,6 +33,14 @@ class Profile:
         return 0 if i <= self.m else 1
 
 
+def json_ints(values, what: str) -> tuple:
+    """A JSON list of integers as a tuple.  Floats and booleans are rejected,
+    not truncated: int(0.5) would silently read 0."""
+    if not isinstance(values, list) or not all(type(x) is int for x in values):
+        raise ValueError(f"{what} must be a JSON list of integers, got {values!r}")
+    return tuple(values)
+
+
 def super_dot(a, b, p: Profile) -> int:
     """Signed dot product: sum_i (-1)^parity(i) * a_i * b_i."""
     if len(a) != len(b) or len(a) != p.size:
@@ -167,7 +175,8 @@ class SuperMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SuperMatrix":
-        return cls(Profile(obj["m"], obj["n"]), obj["entries"])
+        m, n = json_ints([obj["m"], obj["n"]], "matrix m, n")
+        return cls(Profile(m, n), [json_ints(r, "matrix row") for r in obj["entries"]])
 
 
 def zero_matrix(p: Profile) -> SuperMatrix:

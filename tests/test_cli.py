@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from uglmn.cli import main
 
 
@@ -218,6 +220,53 @@ def test_zero_denominator_exit_2(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+
+
+def test_expand_matrix_json_of_wrong_type_exit_2(capsys):
+    _assert_input_error(
+        capsys,
+        ["expand", "--m", "1", "--n", "1", "--A", '{"m":1,"n":1,"entries":5}', "--j", "0,0"],
+    )
+
+
+def test_truncate_matrix_json_of_wrong_type_exit_2(capsys):
+    _assert_input_error(
+        capsys,
+        ["truncate", "--m", "1", "--n", "1", "--A", '{"m":1,"n":1,"entries":5}',
+         "--j", "0,0", "--L", "1"],
+    )
+
+
+def test_vector_json_float_exit_2(capsys):
+    _assert_input_error(
+        capsys, ["expand", "--m", "1", "--n", "1", "--A", "0,1;0,0", "--j", "[0.5, 0]"]
+    )
+
+
+_ONE = {"num": {"0": "1"}, "den": {"0": "1"}}
+_ZERO_11 = {"m": 1, "n": 1, "entries": [[0, 0], [0, 0]]}
+
+
+@pytest.mark.parametrize(
+    "space, term",
+    [
+        ("series", {"coeff": _ONE, "A": {"m": 1, "n": 1, "entries": [[0, 0.0], [0, 0]]}, "j": [0, 0]}),
+        ("series", {"coeff": _ONE, "A": {"m": True, "n": 1, "entries": [[0, 0], [0, 0]]}, "j": [0, 0]}),
+        ("series", {"coeff": _ONE, "A": {"m": 1, "n": 1.0, "entries": [[0, 0], [0, 0]]}, "j": [0, 0]}),
+        ("series", {"coeff": _ONE, "A": _ZERO_11, "j": [0.5, 0]}),
+        ("series", {"coeff": _ONE, "A": _ZERO_11, "j": [0, False]}),
+        ("factor", {"coeff": _ONE, "a": [0, 1.0]}),
+        ("factor", {"coeff": _ONE, "a": [True, 0]}),
+    ],
+    ids=["entries-float", "m-bool", "n-float", "j-float", "j-bool", "a-float", "a-bool"],
+)
+def test_non_integer_json_number_exit_2(capsys, space, term):
+    # int() would truncate 0.5 to 0 and read true as 1; both must be input errors.
+    _assert_input_error(
+        capsys,
+        ["act", "--m", "1", "--n", "1", "--space", space, "--gen", "K1",
+         "--input", json.dumps([term])],
+    )
 
 
 def test_verify_negative_bound_exit_2(capsys):

@@ -1,6 +1,8 @@
 """Exact coefficient arithmetic: canonical forms, quantum integers, evaluation."""
 
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from uglmn.qcoeff import (
     PoleError,
     VFunc,
     VPoly,
+    _QFACT,
     quantum_factorial,
     quantum_integer,
     v_sub,
@@ -172,3 +175,169 @@ def test_json_round_trip():
     for _ in range(50):
         g = _random_vfunc(rng)
         assert VFunc.from_json(g.to_json()) == g
+
+
+def test_quantum_factorial_is_iterative():
+    # Empty the cache so [60]! is built from [0]! within a small stack.
+    saved = dict(_QFACT)
+    _QFACT.clear()
+    _QFACT[0] = ONE
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        f60 = quantum_factorial(60)
+    finally:
+        sys.setrecursionlimit(limit)
+        _QFACT.clear()
+        _QFACT.update(saved)
+    assert f60 == quantum_integer(60) * quantum_factorial(59)
+
+
+# Denominators built from shared factors, so that products and sums of
+# canonical fractions meet every cancellation the fast paths must get right.
+_FACTORS = [
+    VPoly({1: 1}),
+    VPoly({2: 1, 0: -1}),
+    VPoly({2: 1, 0: 1}),
+    VPoly({4: 1, 2: 1, 0: 1}),
+    VPoly({1: 1, 0: -1}),
+]
+_SCALARS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+
+
+def _product(factors) -> VPoly:
+    out = VPoly({0: 1})
+    for f in factors:
+        out = out * f
+    return out
+
+
+def _factored(rng: random.Random) -> VPoly:
+    factors = [rng.choice(_FACTORS) for _ in range(rng.randrange(0, 4))]
+    return VPoly({0: rng.choice(_SCALARS)}) * _product(factors)
+
+
+def _shared_factor_vfunc(rng: random.Random) -> VFunc:
+    r = rng.random()
+    if r < 0.05:
+        return ZERO
+    if r < 0.35:
+        num = VPoly({rng.randrange(0, 4): rng.choice(_SCALARS)})
+    elif r < 0.7:
+        num = _factored(rng)
+    else:
+        num = _random_vfunc(rng).num
+    den = VPoly({rng.randrange(0, 3): rng.choice(_SCALARS)}) if rng.random() < 0.3 else _factored(rng)
+    return VFunc(num, den)
+
+
+def _assert_canonical(f: VFunc) -> None:
+    if f.num.is_zero():
+        assert f.den.c == {0: 1}
+    else:
+        assert f.num.gcd(f.den).c == {0: 1}
+        assert f.den.leading_coeff() == 1
+
+
+def test_fast_paths_match_full_gcd_constructor():
+    rng = random.Random(20261018)
+    for _ in range(1500):
+        x, y = _shared_factor_vfunc(rng), _shared_factor_vfunc(rng)
+        cases = [
+            (x * y, VFunc(x.num * y.num, x.den * y.den)),
+            (x + y, VFunc(x.num * y.den + y.num * x.den, x.den * y.den)),
+            (x - y, VFunc(x.num * y.den - y.num * x.den, x.den * y.den)),
+        ]
+        if y:
+            cases.append((x / y, VFunc(x.num * y.den, x.den * y.num)))
+        if x:
+            cases.append((x.inv(), VFunc(x.den, x.num)))
+        for got, want in cases:
+            assert got == want
+            _assert_canonical(got)
+
+
+def test_monomial_product_cancels_only_powers_of_v():
+    # v^3 * 1/(v(v^2 - 1)) = v^2/(v^2 - 1)
+    f = VFunc(VPoly({0: 1}), VPoly({3: 1, 1: -1}))
+    assert v(3) * f == VFunc(VPoly({2: 1}), VPoly({2: 1, 0: -1}))
+    # v^-3 * v(v^2 + 1)/(v^2 - 1) = (v^2 + 1)/(v^2 (v^2 - 1)), on either side
+    g = VFunc(VPoly({3: 1, 1: 1}), VPoly({2: 1, 0: -1}))
+    want = VFunc(VPoly({2: 1, 0: 1}), VPoly({4: 1, 2: -1}))
+    assert v(-3) * g == want and g * v(-3) == want
+    # -1/2 v^-1 * (v^2 + 1)/(v^2 - 1): the scalar lands on the numerator
+    h = VFunc.from_int(Fraction(-1, 2)) * v(-1) * VFunc(VPoly({2: 1, 0: 1}), VPoly({2: 1, 0: -1}))
+    assert h.num.c == {2: Fraction(-1, 2), 0: Fraction(-1, 2)}
+    assert h.den.c == {3: 1, 1: -1}
+
+
+def test_cross_reduced_product():
+    # (v^2 + 1)/(v^2 - 1) * (v^2 - 1)/(v^4 + v^2 + 1) = (v^2 + 1)/(v^4 + v^2 + 1)
+    x = VFunc(VPoly({2: 1, 0: 1}), VPoly({2: 1, 0: -1}))
+    y = VFunc(VPoly({2: 1, 0: -1}), VPoly({4: 1, 2: 1, 0: 1}))
+    z = x * y
+    assert z.num.c == {2: 1, 0: 1}
+    assert z.den.c == {4: 1, 2: 1, 0: 1}
+
+
+def test_inverse_makes_denominator_monic():
+    # ((2 - 2v^2)/(v^2 + 1))^-1 = (-1/2 v^2 - 1/2)/(v^2 - 1)
+    x = VFunc(VPoly({2: -2, 0: 2}), VPoly({2: 1, 0: 1}))
+    y = x.inv()
+    assert y.num.c == {2: Fraction(-1, 2), 0: Fraction(-1, 2)}
+    assert y.den.c == {2: 1, 0: -1}
+
+
+def test_henrici_sum():
+    # g = gcd(d1, d2) = 1: 1/(v^2 + 1) + 1/(v^2 - 1) = 2v^2/(v^4 - 1)
+    s = VFunc(VPoly({0: 1}), VPoly({2: 1, 0: 1})) + VFunc(VPoly({0: 1}), VPoly({2: 1, 0: -1}))
+    assert s.num.c == {2: 2} and s.den.c == {4: 1, 0: -1}
+    # g = v - 1 and t = -(v - 1): 1/(v^2 - 1) - 2/((v - 1)(v + 3)) = -1/((v + 1)(v + 3))
+    s = VFunc(VPoly({0: 1}), VPoly({2: 1, 0: -1})) + VFunc(VPoly({0: -2}), VPoly({2: 1, 1: 2, 0: -3}))
+    assert s.num.c == {0: -1} and s.den.c == {2: 1, 1: 4, 0: 3}
+    # g = v^2 - 1 and t = v + 1: 1/(v(v^2 - 1)) + 1/(v^2 - 1) = 1/(v(v - 1))
+    s = VFunc(VPoly({0: 1}), VPoly({3: 1, 1: -1})) + VFunc(VPoly({0: 1}), VPoly({2: 1, 0: -1}))
+    assert s.num.c == {0: 1} and s.den.c == {2: 1, 1: -1}
+    # g = v^2 - 1 and gcd(t, g) = 1: 1/(v(v^2 - 1)) + v/(v^2 - 1) = (v^2 + 1)/(v^3 - v)
+    s = VFunc(VPoly({0: 1}), VPoly({3: 1, 1: -1})) + VFunc(VPoly({1: 1}), VPoly({2: 1, 0: -1}))
+    assert s.num.c == {2: 1, 0: 1} and s.den.c == {3: 1, 1: -1}
+
+
+def test_vfunc_against_sympy_cancel():
+    # sympy.cancel is an independent Q(v) implementation.
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    q = sympy.Symbol("v")
+
+    def to_sympy(p: VPoly):
+        return sum((sympy.Rational(c) * q**e for e, c in p.c.items()), sympy.Integer(0))
+
+    scalars = st.sampled_from(_SCALARS)
+    monomials = st.builds(lambda e, c: VPoly({e: c}), st.integers(0, 3), scalars)
+    polys = st.one_of(
+        monomials,
+        st.builds(
+            lambda c, factors, extra: VPoly({0: c}) * extra * _product(factors),
+            scalars,
+            st.lists(st.sampled_from(_FACTORS), max_size=3),
+            st.dictionaries(st.integers(0, 3), st.integers(-3, 3), max_size=3).map(
+                lambda d: VPoly(d) if any(d.values()) else VPoly({0: 1})
+            ),
+        ),
+    )
+    vfuncs = st.builds(VFunc, polys, polys)
+
+    @hypothesis.settings(derandomize=True, max_examples=80, deadline=None)
+    @hypothesis.given(vfuncs, vfuncs)
+    def check(x, y):
+        xs = to_sympy(x.num) / to_sympy(x.den)
+        ys = to_sympy(y.num) / to_sympy(y.den)
+        for got, expr in ((x + y, xs + ys), (x * y, xs * ys), (x.inv(), 1 / xs)):
+            p, d = sympy.fraction(sympy.cancel(expr))
+            num, den = to_sympy(got.num), to_sympy(got.den)
+            assert sympy.expand(num * d - den * p) == 0
+            assert sympy.gcd(num, den).is_number
+            assert sympy.Poly(den, q).LC() == 1
+
+    check()
