@@ -10,7 +10,6 @@ from .polyaction import (
     act_tensor,
     act_tensor_coproduct,
     act_word_factor,
-    act_word_tensor,
     highest_weight_word,
 )
 from .qcoeff import VFunc, VPoly, quantum_factorial, quantum_integer, v_sub

@@ -62,9 +62,14 @@ def parse_matrix(text: str, p: Profile) -> SuperMatrix:
     src = _read_source(text)
     if src.startswith("{"):
         try:
-            return SuperMatrix.from_json(json.loads(src))
+            mat = SuperMatrix.from_json(json.loads(src))
         except TypeError as exc:
             raise InputError(f"malformed matrix {text!r}: {exc}") from exc
+        if mat.profile != p:
+            raise InputError(
+                f"matrix profile {mat.profile.m}|{mat.profile.n} does not match --m/--n"
+            )
+        return mat
     try:
         rows = [[int(x) for x in row.split(",")] for row in src.split(";")]
     except ValueError as exc:

@@ -115,18 +115,14 @@ class LinComb:
         return "LinComb(" + " + ".join(parts) + ")"
 
 
-def accumulate(into: dict, key, coeff: VFunc) -> None:
-    """Accumulate coeff at key into a plain builder dict, dropping zeros."""
-    s = into.get(key)
-    if s is None:
-        if not coeff.is_zero():
-            into[key] = coeff
-    else:
-        s = s + coeff
-        if s.is_zero():
-            del into[key]
-        else:
-            into[key] = s
+def _coeff_from_json(obj) -> VFunc:
+    """A coefficient {"num": {...}, "den": {...}} whose polynomial
+    coefficients are strings or integers.  Floats and booleans are rejected,
+    not converted: Fraction(0.1) would read the binary value of 0.1."""
+    for side in (obj["num"], obj["den"]):
+        if not isinstance(side, dict) or any(isinstance(c, (float, bool)) for c in side.values()):
+            raise ValueError(f"coefficient must map exponents to strings or integers, got {side!r}")
+    return VFunc.from_json(obj)
 
 
 def element_from_json(obj, parse_key) -> LinComb:
@@ -142,7 +138,7 @@ def element_from_json(obj, parse_key) -> LinComb:
             raise ValueError(f"element term must be a JSON object, got {t!r}")
         try:
             key = parse_key(t)
-            coeff = VFunc.from_json(t["coeff"])
+            coeff = _coeff_from_json(t["coeff"])
         except TypeError as exc:
             raise ValueError(f"malformed element term {t!r}: {exc}") from exc
         if key in terms:

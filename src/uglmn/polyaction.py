@@ -201,6 +201,8 @@ def act_tensor(letter: GenLetter, a: SuperMatrix) -> LinComb:
     stat = f_stat if letter.kind == E else g_stat
     row_src = a.rows[src - 1]
     row_dst = a.rows[dst - 1]
+    # Each column moves to its own target and [n] != 0 for n >= 1, so the
+    # terms are stored, never summed.
     out: dict = {}
     for i in range(1, size + 1):
         if row_src[i - 1] < 1:
@@ -209,10 +211,8 @@ def act_tensor(letter: GenLetter, a: SuperMatrix) -> LinComb:
         if target is None:
             continue
         neg = odd and (sigma(i, a) & 1 == 1)
-        c = _coeff(dst, stat(h, i, a), m, row_dst[i - 1] + 1, neg)
-        prev = out.get(target)
-        out[target] = c if prev is None else prev + c
-    return LinComb._raw({t: c for t, c in out.items() if not c.is_zero()})
+        out[target] = _coeff(dst, stat(h, i, a), m, row_dst[i - 1] + 1, neg)
+    return LinComb._raw(out)
 
 
 def act_tensor_coproduct(letter: GenLetter, a: SuperMatrix, _cols=None) -> LinComb:
@@ -270,10 +270,6 @@ def act_tensor_coproduct(letter: GenLetter, a: SuperMatrix, _cols=None) -> LinCo
 
 def act_word_factor(word: Word, x: LinComb) -> LinComb:
     return apply_word(word, x, act_factor)
-
-
-def act_word_tensor(word: Word, x: LinComb) -> LinComb:
-    return apply_word(word, x, act_tensor)
 
 
 def highest_weight_word(r: int, a, profile: Profile) -> Word:

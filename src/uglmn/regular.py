@@ -15,7 +15,7 @@ on the window the truncation determines.
 
 from __future__ import annotations
 
-from .linear import LinComb, accumulate, element_from_json
+from .linear import LinComb, element_from_json
 from .polyaction import act_tensor
 from .qcoeff import VFunc, quantum_integer, v_gap, v_sub
 from .superindex import (
@@ -27,7 +27,7 @@ from .superindex import (
     json_ints,
     preceq,
     s_sign,
-    sigma_hm,
+    sigma,
     super_dot,
     zero_matrix,
 )
@@ -124,7 +124,20 @@ def act_letter(letter: GenLetter, b: SeriesBasis, signed: bool = False) -> LinCo
     row_src = a.rows[src - 1]
     row_dst = a.rows[dst - 1]
     twisted = None  # j + e_dst - e_src, built on first use
-    terms = []  # (target matrix, column of the sign statistic, coefficient, twist)
+    # Every term lands on its own (target, twist) key, so terms are stored,
+    # never summed: column moves hit distinct columns, the two
+    # difference-quotient terms differ in their twist, and the (dst, src)
+    # move fills a third slot.
+    out: dict = {}
+
+    def put(target, col, c, twist):
+        # Both sign statistics vanish unless h = m.
+        if h == m:
+            flip = s_sign(h, col, a if is_e else target) if signed else sigma(col, a)
+            if flip & 1:
+                c = -c
+        out[SeriesBasis._make(target, twist)] = c
+
     for i in range(1, size + 1):
         if i in (h, h + 1) or row_src[i - 1] < 1:
             continue
@@ -135,33 +148,22 @@ def act_letter(letter: GenLetter, b: SeriesBasis, signed: bool = False) -> LinCo
         near = i < h if is_e else i > h + 1  # on the destination row's side
         if near:
             twisted = twisted or _shift_j(_shift_j(j, dst, 1), src, -1)
-            terms.append((target, i, c, twisted))
+            put(target, i, c, twisted)
         else:
-            terms.append((target, i, c, j))
+            put(target, i, c, j)
     if row_src[dst - 1] >= 1:
         # Emptying the (src, dst) slot turns the quantum bracket into a
         # difference of two twists divided by v_dst - v_dst^{-1}.
         target = a.shift(((src, dst, -1),))
         c = v_sub(dst, stat(h, dst, a) - j[dst - 1], m) / v_gap(dst, m)
         twisted = twisted or _shift_j(_shift_j(j, dst, 1), src, -1)
-        terms.append((target, dst, c, twisted))
-        terms.append((target, dst, -c, _shift_j(_shift_j(j, h, -1), h + 1, -1)))
+        put(target, dst, c, twisted)
+        put(target, dst, -c, _shift_j(_shift_j(j, h, -1), h + 1, -1))
     target = a.shift(((dst, src, 1),))
     if target is not None:
         exp = stat(h, src, a) + (-j[src - 1] if h == m else j[src - 1])
         c = v_sub(dst, exp, m) * quantum_integer(row_dst[src - 1] + 1)
-        terms.append((target, src, c, j))
-    out: dict = {}
-    for target, col, c, jj in terms:
-        # Both sign statistics vanish unless h = m.
-        if h == m:
-            if signed:
-                flip = s_sign(h, col, a if is_e else target)
-            else:
-                flip = sigma_hm(h, col, a)
-            if flip & 1:
-                c = -c
-        accumulate(out, SeriesBasis._make(target, jj), c)
+        put(target, src, c, j)
     return LinComb._raw(out)
 
 
@@ -196,10 +198,7 @@ def truncate(b: SeriesBasis, level: int) -> LinComb:
 
 
 def truncate_element(x: LinComb, level: int) -> LinComb:
-    out = LinComb.zero()
-    for b, c in x:
-        out = out + truncate(b, level).scale(c)
-    return out
+    return x.bind(lambda b: truncate(b, level))
 
 
 def compare_truncated(letter: GenLetter, b: SeriesBasis, level: int) -> bool:
@@ -286,37 +285,24 @@ def expand_as_words(mat: SuperMatrix, j) -> tuple:
         raise RuntimeError(f"leading twist mismatch: {lead_key!r} != {key!r}")
     if u.as_unit_monomial() is None:
         raise RuntimeError(f"leading coefficient {u!r} is not +-v^c")
-    u_inv = u.inv()
-    out = {word: u_inv}
-    remainder = sorted(
-        rest.terms.items(),
-        key=lambda kv: (-kv[0].mat.offdiag_total(), kv[0].mat.rows, kv[0].j),
-    )
-    for b2, c in remainder:
-        scale = u_inv * c
-        for c2, w2 in expand_as_words(b2.mat, b2.j):
-            prev = out.get(w2)
-            s = -scale * c2 if prev is None else prev - scale * c2
-            if s.is_zero():
-                out.pop(w2, None)
-            else:
-                out[w2] = s
+    out = (LinComb.single(word) - rest.bind(_words)).scale(u.inv())
     result = tuple(
         (c, w)
-        for w, c in sorted(out.items(), key=lambda kv: (len(kv[0]), word_text(kv[0])))
+        for w, c in sorted(out.terms.items(), key=lambda kv: (len(kv[0]), word_text(kv[0])))
     )
     _EXPAND_CACHE[key] = result
     return result
 
 
+def _words(b: SeriesBasis) -> LinComb:
+    """The cached expansion of a label, as a combination keyed by word."""
+    return LinComb._raw({w: c for c, w in expand_as_words(b.mat, b.j)})
+
+
 def multiply(x: LinComb, y: LinComb) -> LinComb:
     """Product in the supergroup: expand each left label into generator words
     and act with them on the right element."""
-    out = LinComb.zero()
-    for b, c in x:
-        for cw, w in expand_as_words(b.mat, b.j):
-            out = out + act_word(w, y).scale(c * cw)
-    return out
+    return x.bind(_words).bind(lambda w: act_word(w, y))
 
 
 def to_signed(x: LinComb) -> LinComb:

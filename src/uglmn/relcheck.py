@@ -32,6 +32,7 @@ from .words import k as k_letter
 PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
+EMPTY = "empty"  # applicable, but the basis had no vector to check
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class SuiteReport:
 
     @property
     def all_pass(self) -> bool:
-        return all(r.status != FAIL for r in self.reports)
+        return all(r.status not in (FAIL, EMPTY) for r in self.reports)
 
     def failures(self) -> list:
         return [r for r in self.reports if r.status == FAIL]
@@ -251,7 +252,7 @@ def check_relation(rel: RelationId, handle: ActionHandle) -> RelationReport:
                     {"basis": repr(key), "residual": residual_to_json(residual)},
                 )
         checked += 1
-    return RelationReport(rel.label(), PASS, checked)
+    return RelationReport(rel.label(), PASS if checked else EMPTY, checked)
 
 
 def full_suite(handle: ActionHandle) -> SuiteReport:

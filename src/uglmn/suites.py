@@ -53,7 +53,8 @@ class GridReport:
 
     @property
     def all_pass(self) -> bool:
-        return not self.failures
+        """A grid that checked nothing has not passed."""
+        return self.checked > 0 and not self.failures
 
     def to_json(self) -> dict:
         return {

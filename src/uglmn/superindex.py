@@ -62,13 +62,6 @@ def alpha(h: int, size: int) -> tuple:
     return tuple(1 if k == h - 1 else -1 if k == h else 0 for k in range(size))
 
 
-def beta(h: int, size: int) -> tuple:
-    """e_h + e_{h+1} for 1 <= h < size."""
-    if not 1 <= h < size:
-        raise IndexError(f"index {h} out of range 1..{size - 1}")
-    return tuple(1 if k in (h - 1, h) else 0 for k in range(size))
-
-
 class SuperMatrix:
     """A square matrix over N with Z2-valued off-diagonal blocks: entries
     a_{i,j} with parities of i and j differing must be 0 or 1."""
@@ -230,13 +223,6 @@ def g_stat(h: int, i: int, a: SuperMatrix) -> int:
     rh = a.rows[h - 1]
     rh1 = a.rows[h]
     return sum(rh1[: i - 1]) - sgn * sum(rh[: i - 1])
-
-
-def sigma_hm(h: int, i: int, a: SuperMatrix) -> int:
-    """sigma(i, A) when h = m, else 0."""
-    if not 1 <= h < a.profile.size:
-        raise IndexError(f"index {h} out of range 1..{a.profile.size - 1}")
-    return sigma(i, a) if h == a.profile.m else 0
 
 
 def a_bar(a: SuperMatrix) -> int:

@@ -269,6 +269,48 @@ def test_non_integer_json_number_exit_2(capsys, space, term):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--j", "0,0,0"],
+        ["truncate", "--j", "0,0,0", "--L", "1"],
+        ["oracle-compare", "--gen", "E1", "--j", "0,0,0"],
+    ],
+    ids=["expand", "truncate", "oracle-compare"],
+)
+def test_matrix_json_profile_mismatch_exit_2(capsys, argv):
+    # A 2|1 matrix asked for at 1|2 must not be computed at 2|1.
+    mat = '{"m":2,"n":1,"entries":[[0,0,1],[0,0,0],[0,0,0]]}'
+    _assert_input_error(capsys, [argv[0], "--m", "1", "--n", "2", "--A", mat] + argv[1:])
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    [
+        {"num": {"0": 0.1}, "den": {"0": "1"}},
+        {"num": {"0": "1"}, "den": {"0": 2.0}},
+        {"num": {"0": True}, "den": {"0": "1"}},
+        {"num": [1], "den": {"0": "1"}},
+    ],
+    ids=["num-float", "den-float", "num-bool", "num-list"],
+)
+def test_malformed_coefficient_json_exit_2(capsys, coeff):
+    # Fraction(0.1) is the binary value of 0.1 and Fraction(True) is 1.
+    term = {"coeff": coeff, "A": _ZERO_11, "j": [0, 0]}
+    _assert_input_error(
+        capsys, ["act", "--m", "1", "--n", "1", "--gen", "K1", "--input", json.dumps([term])]
+    )
+
+
+def test_coefficient_json_strings_and_integers_still_parse(capsys):
+    term = {"coeff": {"num": {"1": "1/2", "0": 3}, "den": {"0": "1"}}, "A": _ZERO_11, "j": [0, 0]}
+    code, out = run_cli(
+        capsys, "act", "--m", "1", "--n", "1", "--gen", "K1", "--input", json.dumps([term])
+    )
+    assert code == 0
+    assert json.loads(out)[0]["coeff"] == {"num": {"1": "1/2", "0": "3"}, "den": {"0": "1"}}
+
+
 def test_verify_negative_bound_exit_2(capsys):
     code = main(["verify", "--m", "1", "--n", "1", "--suite", "tensor", "--bound", "-1"])
     captured = capsys.readouterr()

@@ -15,7 +15,6 @@ from uglmn.polyaction import (
     act_tensor,
     act_tensor_coproduct,
     act_word_factor,
-    act_word_tensor,
     column_monomials,
     factor_element_from_json,
     factor_element_to_json,
@@ -34,7 +33,7 @@ from uglmn.superindex import (
     unit_matrix,
     zero_matrix,
 )
-from uglmn.words import e, f, k
+from uglmn.words import apply_word, e, f, k
 
 P11 = Profile(1, 1)
 P21 = Profile(2, 1)
@@ -220,15 +219,15 @@ def test_tensor_agreement_catches_coproduct_mutations(monkeypatch, mutate):
 def test_act_word_tensor_basics():
     a = unit_matrix(P11, 1, 2)
     x = single(a)
-    assert act_word_tensor((), x) == x
-    assert act_word_tensor((e(1),), x) == act_tensor(e(1), a)
+    assert apply_word((), x, act_tensor) == x
+    assert apply_word((e(1),), x, act_tensor) == act_tensor(e(1), a)
 
 
 def test_divided_power_word_on_tensor():
     # F_1^(2) sends X^[2 E_12] to exactly X^[2 E_22] at profile (2,0).
     p = Profile(2, 0)
     a = SuperMatrix(p, [[0, 2], [0, 0]])
-    res = act_word_tensor((f(1, 2),), single(a))
+    res = apply_word((f(1, 2),), single(a), act_tensor)
     assert res == single(SuperMatrix(p, [[0, 0], [0, 2]]))
 
 

@@ -12,7 +12,6 @@ from uglmn.superindex import (
     all_offdiag,
     alpha,
     basis_vector,
-    beta,
     downset,
     f_stat,
     g_stat,
@@ -21,7 +20,6 @@ from uglmn.superindex import (
     preceq,
     s_sign,
     sigma,
-    sigma_hm,
     super_dot,
     unit_matrix,
     upper_l,
@@ -77,7 +75,6 @@ def test_super_dot_bilinear_symmetric():
 
 def test_alpha_beta():
     assert alpha(1, 2) == (1, -1)
-    assert beta(1, 2) == (1, 1)
     with pytest.raises(IndexError):
         alpha(2, 2)
     # e_m against e_m - e_{m+1} picks up +1 from the even slot only.
@@ -111,11 +108,12 @@ def test_f_g_examples():
 
 
 def test_sigma_hm():
+    # The h = m sign of the label actions is sigma itself; i > m counts the
+    # whole lower-left block.
     a = mat(P11, [[0, 1], [1, 0]])
-    assert sigma_hm(1, 2, a) == sigma(2, a) == 1
+    assert sigma(2, a) == 1
     b = mat(P21, [[0, 0, 1], [0, 0, 0], [1, 1, 0]])
-    assert sigma_hm(1, 3, b) == 0  # h != m
-    assert sigma_hm(2, 3, b) == sigma(3, b)
+    assert sigma(3, b) == 2
 
 
 def test_a_bar():
