@@ -17,8 +17,6 @@ class LinComb:
         d = {}
         if terms:
             for k, c in terms.items():
-                if isinstance(c, int):
-                    c = VFunc.from_int(c)
                 if not c.is_zero():
                     d[k] = c
         self.terms = d
@@ -45,9 +43,6 @@ class LinComb:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -86,8 +81,6 @@ class LinComb:
         return self + (-other)
 
     def scale(self, c: VFunc) -> "LinComb":
-        if isinstance(c, int):
-            c = VFunc.from_int(c)
         if c.is_zero():
             return LinComb._raw({})
         return LinComb._raw({k: x * c for k, x in self.terms.items()})

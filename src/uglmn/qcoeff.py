@@ -28,8 +28,6 @@ def _coerce(c):
         return c
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else c
-    if isinstance(c, str):
-        return _coerce(Fraction(c))
     raise TypeError(f"cannot use {c!r} as an exact coefficient")
 
 
@@ -307,15 +305,11 @@ class VFunc:
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        if isinstance(other, int):
-            other = VFunc.from_int(other)
         if not isinstance(other, VFunc):
             return NotImplemented
         return self.num.c == other.num.c and self.den.c == other.den.c
 
     def __add__(self, other: "VFunc") -> "VFunc":
-        if isinstance(other, int):
-            other = VFunc.from_int(other)
         d1, d2 = self.den.c, other.den.c
         if len(d1) == 1 and len(d2) == 1:
             (k1, c1), = d1.items()
@@ -346,24 +340,15 @@ class VFunc:
             return VFunc._coprime(t, dd1 * other.den)
         return VFunc._coprime(t.div_exact(g), dd1 * other.den.div_exact(g))
 
-    __radd__ = __add__
-
     def __neg__(self) -> "VFunc":
         if not self.num.c:
             return self
         return VFunc._raw(-self.num, self.den)
 
     def __sub__(self, other: "VFunc") -> "VFunc":
-        if isinstance(other, int):
-            other = VFunc.from_int(other)
         return self + (-other)
 
-    def __rsub__(self, other) -> "VFunc":
-        return (-self) + other
-
     def __mul__(self, other: "VFunc") -> "VFunc":
-        if isinstance(other, int):
-            other = VFunc.from_int(other)
         n1, n2 = self.num.c, other.num.c
         if not n1 or not n2:
             return ZERO
@@ -399,8 +384,6 @@ class VFunc:
         dd1 = self.den if g2.c == _P_ONE.c else self.den.div_exact(g2)
         return VFunc._coprime(n1 * n2, dd1 * dd2)
 
-    __rmul__ = __mul__
-
     def _times_monomial(self, mono: "VFunc") -> "VFunc":
         # self * a v^e/v^k, both nonzero.  With self = v^(vn - vd) n0/d0 and
         # n0, d0 prime to v, the product is a v^s n0/d0: no gcd needed.
@@ -420,21 +403,7 @@ class VFunc:
         return VFunc._coprime(self.den, self.num)
 
     def __truediv__(self, other: "VFunc") -> "VFunc":
-        if isinstance(other, int):
-            other = VFunc.from_int(other)
         return self * other.inv()
-
-    def __pow__(self, e: int) -> "VFunc":
-        if e < 0:
-            return self.inv() ** (-e)
-        out = ONE
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
 
     def as_unit_monomial(self):
         """If self = s * v^c with s in {1, -1}, return (s, c); else None."""

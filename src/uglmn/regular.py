@@ -209,12 +209,11 @@ def compare_truncated(letter: GenLetter, b: SeriesBasis, level: int) -> bool:
     """
     if level < 1:
         raise ValueError("comparison needs level >= 1")
-    lhs = truncate(b, level).bind(lambda mat: act_tensor(letter, mat))
-    rhs = truncate_element(act_letter(letter, b), level)
     window = level - 1
+    lhs = truncate(b, level).bind(lambda mat: act_tensor(letter, mat))
     lhs = lhs.filter_keys(lambda mat: mat.diag_total() <= window)
-    rhs = rhs.filter_keys(lambda mat: mat.diag_total() <= window)
-    return lhs == rhs
+    # Label matrices are diagonal-free, so truncating at the window is exact.
+    return lhs == truncate_element(act_letter(letter, b), window)
 
 
 def monomial_word(mat: SuperMatrix, j) -> Word:

@@ -152,65 +152,48 @@ def compound_serre_words(m: int):
     return e_words, f_words
 
 
-def _qg3_rhs(a: int, p: Profile):
-    inv = v_gap(a, p.m).inv()
-    return (
-        (-inv, (k_letter(a, 1), k_letter(a + 1, -1))),
-        (inv, (k_letter(a, -1), k_letter(a + 1, 1))),
-    )
-
-
 def operator_terms(rel: RelationId, p: Profile):
     """The relation's left-minus-right as a list of operator polynomials
-    (each a tuple of (coefficient, word) pairs), every one required to kill
-    every basis vector.  None when the relation needs generators the profile
-    does not have."""
+    (each a LinComb over words), every one required to kill every basis
+    vector.  No two words of one relation coincide.  None when the relation
+    needs generators the profile does not have."""
     m, size = p.m, p.size
     a, b = rel.a, rel.b
     fam = rel.family
     if fam == "QG1":
         if a == b:
-            return [((ONE, (k_letter(a, 1), k_letter(a, -1))), (-ONE, ()))]
-        return [
-            ((ONE, (k_letter(a, 1), k_letter(b, 1))), (-ONE, (k_letter(b, 1), k_letter(a, 1)))),
-        ]
+            return [LinComb({(k_letter(a, 1), k_letter(a, -1)): ONE, (): -ONE})]
+        ka, kb = k_letter(a, 1), k_letter(b, 1)
+        return [LinComb({(ka, kb): ONE, (kb, ka): -ONE})]
     if fam == "QG2":
         sd = super_dot(basis_vector(a, size), alpha(b, size), p)
+        ka = k_letter(a, 1)
         return [
-            (
-                (ONE, (k_letter(a, 1), e_letter(b))),
-                (-VFunc.v_power(sd), (e_letter(b), k_letter(a, 1))),
-            ),
-            (
-                (ONE, (k_letter(a, 1), f_letter(b))),
-                (-VFunc.v_power(-sd), (f_letter(b), k_letter(a, 1))),
-            ),
+            LinComb({(ka, e_letter(b)): ONE, (e_letter(b), ka): -VFunc.v_power(sd)}),
+            LinComb({(ka, f_letter(b)): ONE, (f_letter(b), ka): -VFunc.v_power(-sd)}),
         ]
     if fam == "QG3":
         # Super bracket: anticommutator exactly when both indices are odd.
         sign = ONE if (a == m and b == m) else -ONE
-        terms = [(ONE, (e_letter(a), f_letter(b))), (sign, (f_letter(b), e_letter(a)))]
+        terms = {(e_letter(a), f_letter(b)): ONE, (f_letter(b), e_letter(a)): sign}
         if a == b:
-            terms.extend(_qg3_rhs(a, p))
-        return [tuple(terms)]
+            inv = v_gap(a, m).inv()
+            terms[(k_letter(a, 1), k_letter(a + 1, -1))] = -inv
+            terms[(k_letter(a, -1), k_letter(a + 1, 1))] = inv
+        return [LinComb(terms)]
     if fam == "QG4":
         x = e_letter if rel.which == E else f_letter
-        return [((ONE, (x(a), x(b))), (-ONE, (x(b), x(a))))]
+        return [LinComb({(x(a), x(b)): ONE, (x(b), x(a)): -ONE})]
     if fam == "QG5":
         x = e_letter if rel.which == E else f_letter
         two = VFunc.v_power(1) + VFunc.v_power(-1)
-        return [
-            (
-                (ONE, (x(a), x(a), x(b))),
-                (-two, (x(a), x(b), x(a))),
-                (ONE, (x(b), x(a), x(a))),
-            )
-        ]
+        aab, aba, baa = (x(a), x(a), x(b)), (x(a), x(b), x(a)), (x(b), x(a), x(a))
+        return [LinComb({aab: ONE, aba: -two, baa: ONE})]
     if fam == "QG6-square":
         if m < 1 or p.n < 1:
             return None
         x = e_letter if rel.which == E else f_letter
-        return [((ONE, (x(m), x(m))),)]
+        return [LinComb.single((x(m), x(m)))]
     if fam == "QG6-serre":
         if m < 2 or p.n < 2:
             return None
@@ -219,9 +202,9 @@ def operator_terms(rel: RelationId, p: Profile):
             words, odd = e_words, e_letter(m)
         else:
             words, odd = f_words, f_letter(m)
-        terms = [(c, (odd,) + w) for c, w in words]
-        terms += [(c, w + (odd,)) for c, w in words]
-        return [tuple(terms)]
+        terms = {(odd,) + w: c for c, w in words}
+        terms.update({w + (odd,): c for c, w in words})
+        return [LinComb(terms)]
     raise ValueError(f"unknown relation family {fam!r}")
 
 
@@ -241,9 +224,7 @@ def check_relation(rel: RelationId, handle: ActionHandle) -> RelationReport:
     for key in handle.basis:
         start = LinComb.single(key)
         for poly in polys:
-            residual = LinComb.zero()
-            for coeff, word in poly:
-                residual = residual + apply_word(word, start, act).scale(coeff)
+            residual = poly.bind(lambda word: apply_word(word, start, act))
             if not residual.is_zero():
                 return RelationReport(
                     rel.label(),

@@ -92,16 +92,18 @@ def _grid_shard(args) -> tuple:
     letters = generator_letters(p)
     checked = 0
     failures = []
-    for a in matrices(p, bound, shard, nshards):
+    # The shard's t-th matrix has grid index shard + t * nshards.
+    for t, a in enumerate(matrices(p, bound, shard, nshards)):
         n, found = check(a, letters)
         checked += n
-        failures.extend(found)
+        failures.extend((shard + t * nshards, failure) for failure in found)
     return checked, failures
 
 
 def _run_grid(name, check, matrices, p, bound, threads) -> GridReport:
     """Run check(matrix, letters) on every matrix the enumerator yields,
-    sharded across processes when more than one worker is asked for."""
+    sharded across processes when more than one worker is asked for; the
+    failures come in grid order whatever the worker count."""
     workers = thread_count(threads)
     jobs = [(check, matrices, p, bound, s, workers) for s in range(workers)]
     if workers == 1:
@@ -112,9 +114,11 @@ def _run_grid(name, check, matrices, p, bound, threads) -> GridReport:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             shards = list(pool.map(_grid_shard, jobs))
     report = GridReport(name)
+    tagged = []
     for checked, failures in shards:
         report.checked += checked
-        report.failures.extend(failures)
+        tagged.extend(failures)
+    report.failures = [failure for _, failure in sorted(tagged, key=lambda t: t[0])]
     return report
 
 

@@ -1,7 +1,7 @@
 """Combinatorial indexing for the m|n superworld: parities, the signed dot
 product, matrix sets with Z2-constrained off-diagonal blocks, the row/column
 statistics entering the action formulas, and the dominance-style order on
-matrices together with its finite down-sets.
+matrices.
 
 All public indices are 1-based.
 """
@@ -298,33 +298,6 @@ def preceq(a: SuperMatrix, b: SuperMatrix) -> bool:
 
 def strictly_lower(a: SuperMatrix, b: SuperMatrix) -> bool:
     return a != b and preceq(a, b)
-
-
-def downset(a: SuperMatrix) -> list:
-    """All diagonal-free matrices b with b preceq a.  Finite: each off-diagonal
-    entry of b is bounded by the corner sum of a covering that position."""
-    p = a.profile
-    m, size = p.m, p.size
-    positions = [(i, j) for i in range(size) for j in range(size) if i != j]
-    ranges = []
-    for i, j in positions:
-        if i < j:
-            bound = upper_l(a, i + 1, j + 1)
-        else:
-            bound = lower_neg(a, i + 1, j + 1)
-        if (i < m) != (j < m):
-            bound = min(bound, 1)
-        ranges.append(range(bound + 1))
-    out = []
-    for choice in itertools.product(*ranges):
-        rows = [[0] * size for _ in range(size)]
-        for (i, j), x in zip(positions, choice):
-            rows[i][j] = x
-        b = SuperMatrix._make(p, tuple(tuple(r) for r in rows))
-        if preceq(b, a):
-            out.append(b)
-    out.sort(key=lambda x: x.rows)
-    return out
 
 
 def _entry_choices(p: Profile, bound: int, positions, shard: int, nshards: int):

@@ -285,6 +285,29 @@ def test_matrix_json_profile_mismatch_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "space, term",
+    [
+        ("tensor", {"coeff": _ONE, "A": {"m": 2, "n": 1, "entries": [[0] * 3] * 3}}),
+        ("series", {"coeff": _ONE, "A": {"m": 2, "n": 1, "entries": [[0] * 3] * 3},
+                    "j": [0, 0, 0]}),
+    ],
+    ids=["tensor", "series"],
+)
+def test_element_profile_mismatch_exit_2(capsys, space, term):
+    _assert_input_error(
+        capsys,
+        ["act", "--m", "1", "--n", "1", "--space", space, "--gen", "K1",
+         "--input", json.dumps([term])],
+    )
+
+
+def test_multi_letter_generator_exit_2(capsys):
+    _assert_input_error(
+        capsys, ["act", "--m", "1", "--n", "1", "--gen", "E1 F1", "--input", "[]"]
+    )
+
+
+@pytest.mark.parametrize(
     "coeff",
     [
         {"num": {"0": 0.1}, "den": {"0": "1"}},

@@ -152,13 +152,6 @@ def test_as_unit_monomial():
     assert (VFunc.from_int(2) * v(1)).as_unit_monomial() is None
 
 
-def test_power_operator():
-    f = v(1) + v(-1)
-    assert f**0 == ONE
-    assert f**3 == f * f * f
-    assert f**-2 == (f * f).inv()
-
-
 def test_text_forms():
     assert quantum_integer(3).text() == "v^2 + 1 + v^-2"
     f = VFunc(VPoly({2: 1, 0: 1}), VPoly({3: 1, 1: -1}))

@@ -1,26 +1,35 @@
 """Agreement grids: shards partition the grid, build only their own matrices,
 the sharded runner gives the same report as one process, an empty grid does
-not pass, and a lost action term is caught."""
+not pass, and a lost action term is caught.  Relations and truncations on a
+fixed sample of (2,2) labels, where the super Serre relations apply."""
 
 import json
 import math
+import random
 
 import pytest
 
 from uglmn import regular, suites
+from uglmn.regular import SeriesBasis, compare_truncated
 from uglmn.relcheck import (
     EMPTY,
+    FAIL,
     NOT_APPLICABLE,
+    PASS,
     ActionHandle,
+    RelationId,
+    check_relation,
     full_suite,
     relations_for,
     series_handle,
 )
-from uglmn.suites import series_truncation_agreement, tensor_agreement
+from uglmn.suites import generator_letters, series_truncation_agreement, tensor_agreement
 from uglmn.superindex import Profile, SuperMatrix, all_matrices, all_offdiag
+from uglmn.words import E
 
 P11 = Profile(1, 1)
 P21 = Profile(2, 1)
+P22 = Profile(2, 2)
 
 
 def _same_report(one, two):
@@ -112,3 +121,51 @@ def test_tensor_grid_catches_a_lost_tensor_term(monkeypatch):
     report = tensor_agreement(P11, 2, threads=1)
     assert report.checked == 36
     assert report.failures
+
+
+def test_grid_failures_do_not_depend_on_the_worker_count(monkeypatch):
+    monkeypatch.setattr(suites, "act_tensor", _drop_one_term(suites.act_tensor))
+    one = tensor_agreement(P11, 2, threads=1)
+    two = tensor_agreement(P11, 2, threads=2)
+    assert len(one.failures) > 10  # to_json lists only the first ten
+    assert one.to_json() == two.to_json()
+
+
+def _sample_22():
+    """64 labels of the (2,2) grid with entries <= 1, twist 0, fixed seed."""
+    mats = random.Random(2022).sample(list(all_offdiag(P22, 1)), 64)
+    return tuple(SeriesBasis(a, (0, 0, 0, 0)) for a in mats)
+
+
+def test_series_relations_on_a_22_sample():
+    labels = _sample_22()
+    report = full_suite(ActionHandle("series 2|2 sample", P22, labels, regular.act_letter))
+    # None is not-applicable: the quartic super Serre relations apply at (2,2).
+    assert [r.status for r in report.reports] == [PASS] * 41
+
+    def negate_e2(letter, b):
+        res = regular.act_letter(letter, b)
+        return -res if letter.kind == E and letter.index == 2 else res
+
+    mutated = ActionHandle("mutated", P22, labels, negate_e2)
+    assert check_relation(RelationId("QG3", 2, 2), mutated).status == FAIL
+
+
+def test_truncation_on_a_22_sample(monkeypatch):
+    labels = _sample_22()
+    letters = generator_letters(P22)
+
+    def failing():
+        return [
+            letter.text() for b in labels for letter in letters
+            if not compare_truncated(letter, b, 3)
+        ]
+
+    assert failing() == []
+    # One more sign flip in the last column is a change of basis: the
+    # relations cannot see it, the truncated series can.
+    sigma = regular.sigma
+    monkeypatch.setattr(regular, "sigma", lambda col, a: sigma(col, a) + (col == a.profile.size))
+    failures = failing()
+    assert len(failures) == 49
+    assert set(failures) == {"E2", "F2"}

@@ -1,4 +1,4 @@
-"""Index combinatorics: statistics, the matrix order, down-sets, parities."""
+"""Index combinatorics: statistics, the matrix order, parities."""
 
 import random
 
@@ -12,7 +12,6 @@ from uglmn.superindex import (
     all_offdiag,
     alpha,
     basis_vector,
-    downset,
     f_stat,
     g_stat,
     lower_neg,
@@ -223,26 +222,6 @@ def test_preceq_antisymmetric_on_offdiag(p):
         sig = _corner_signature(a)
         assert sig not in seen, f"{seen[sig]!r} and {a!r} are order-equivalent"
         seen[sig] = a
-
-
-def test_downset_examples():
-    o = zero_matrix(P11)
-    assert downset(o) == [o]
-    e12 = unit_matrix(P11, 1, 2)
-    assert downset(e12) == sorted([o, e12], key=lambda x: x.rows)
-    for a in all_offdiag(P21, 1):
-        d = downset(a)
-        assert zero_matrix(P21) in d
-        assert a in d
-        for b in d:
-            assert preceq(b, a)
-
-
-def test_downset_closed_under_order():
-    for a in all_offdiag(P11, 2):
-        d = set(downset(a))
-        for b in d:
-            assert set(downset(b)) <= d
 
 
 def test_matrix_parity():
