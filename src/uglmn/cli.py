@@ -37,7 +37,7 @@ from .regular import (
     truncate,
 )
 from .superindex import Profile, SuperMatrix, json_ints
-from .suites import run_factor_suites, run_series_suites, run_tensor_suites
+from .suites import run_factor_suites, run_series_suites, run_tensor_suites, thread_count
 from .words import K, apply_word, word_from_text, word_text
 
 FLAVORS = {"01": ZERO_ONE, "10": ONE_ZERO}
@@ -53,8 +53,11 @@ def _read_source(text: str) -> str:
     if stripped.startswith(("[", "{")):
         return stripped
     if os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(text, "r", encoding="utf-8") as fh:
+                return fh.read()
+        except OSError as exc:
+            raise InputError(f"cannot read {text!r}: {exc.strerror or exc}") from exc
     return stripped
 
 
@@ -193,13 +196,14 @@ def cmd_verify(args) -> int:
     p = Profile(args.m, args.n)
     if args.bound < 0:
         raise InputError(f"--bound must be >= 0, got {args.bound}")
+    threads = thread_count(args.threads)
     suites = []
     if args.suite in ("factor", "all"):
         suites.extend(run_factor_suites(p, args.bound, mutate=args.mutate))
     if args.suite in ("tensor", "all"):
-        suites.extend(run_tensor_suites(p, args.bound, threads=args.threads))
+        suites.extend(run_tensor_suites(p, args.bound, threads=threads))
     if args.suite in ("series", "all"):
-        suites.extend(run_series_suites(p, args.bound, threads=args.threads))
+        suites.extend(run_series_suites(p, args.bound, threads=threads))
     ok = all(s.all_pass for s in suites)
     _emit({"profile": {"m": p.m, "n": p.n}, "pass": ok, "suites": [s.to_json() for s in suites]})
     return 0 if ok else 1

@@ -115,6 +115,8 @@ def _coeff_from_json(obj) -> VFunc:
     for side in (obj["num"], obj["den"]):
         if not isinstance(side, dict) or any(isinstance(c, (float, bool)) for c in side.values()):
             raise ValueError(f"coefficient must map exponents to strings or integers, got {side!r}")
+        if len({int(e) for e in side}) != len(side):
+            raise ValueError(f"coefficient names one exponent twice, got {side!r}")
     return VFunc.from_json(obj)
 
 

@@ -1,16 +1,21 @@
 """Exact arithmetic in Q(v): sparse polynomials in v over the rationals,
 reduced rational functions, and the quantum combinatorics [i], [a]!, v_h.
 
-Everything is immutable after construction and kept in a canonical form:
-a VFunc stores a gcd-reduced fraction num/den with monic denominator, and
-zero is always 0/1.  Laurent monomials v^-k live as 1/v^k.
+Everything is immutable after construction and kept in a canonical form.
+A VFunc stores v^s * n/d: an integer s and n, d in Q[v], both prime to v
+and to each other, d monic; zero is stored as (0, 0, 1).  The action only
+divides by v_h - v_h^-1 = (v^2 - 1)/v and by [a]!, so the powers of v that
+every coefficient carries stay in s and never enter a polynomial gcd.  The
+properties .num and .den give the same value as one reduced fraction with
+monic denominator; text and JSON print from them.
 
-The constructor runs a full polynomial gcd; arithmetic on canonical operands
-skips it wherever the reduced form already says the gcd is 1:
-- a product with a monomial a v^t can only cancel powers of v;
-- after cross-reduction, n1 n2 and d1 d2 share no factor;
-- the inverse den/num is already reduced;
-- a sum with g = gcd(d1, d2) can only cancel gcd(t, g), t = n1 d2/g + n2 d1/g.
+The constructor runs a full polynomial gcd.  Arithmetic on canonical
+operands skips it by two rules, both applied in _reduce:
+- a one-term n or d is a constant, so it shares no factor with anything
+  (and two equal polynomials are their own gcd);
+- a product cross-reduces n1 against d2 and n2 against d1, and a sum
+  reduces only by gcd(t, g) with g = gcd(d1, d2), t = n1 d2/g + n2 d1/g
+  (Henrici's addition).
 """
 
 from __future__ import annotations
@@ -84,9 +89,6 @@ class VPoly:
 
     def leading_coeff(self):
         return self.c[max(self.c)] if self.c else 0
-
-    def is_monomial(self) -> bool:
-        return len(self.c) == 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, VPoly) and self.c == other.c
@@ -171,17 +173,9 @@ class VPoly:
         return VPoly._raw({e: _div_coeff(c, lc) for e, c in self.c.items()})
 
     def gcd(self, other: "VPoly") -> "VPoly":
-        """Monic gcd over Q; gcd(0, p) = monic p."""
+        """Monic gcd over Q by Euclid; gcd(0, p) = monic p."""
         a, b = self, other
-        # Monomials divide exactly by their v-valuation.
-        if a.is_monomial() or b.is_monomial():
-            if a.is_zero():
-                return b.monic()
-            if b.is_zero():
-                return a.monic()
-            k = min(a.valuation(), b.valuation())
-            return VPoly._raw({k: 1})
-        while not b.is_zero():
+        while b.c:
             a, b = b, a.divmod(b)[1]
         return a.monic()
 
@@ -228,212 +222,157 @@ def _monic_pair(num: VPoly, den: VPoly):
     return tuple(VPoly._raw({e: _div_coeff(c, lc) for e, c in p.c.items()}) for p in (num, den))
 
 
-class VFunc:
-    """A rational function in v over Q, always in canonical reduced form:
-    gcd(num, den) = 1, den monic and nonzero, zero stored as 0/1.
+def _reduce(a: VPoly, b: VPoly):
+    """(a/g, b/g, g) for g = gcd(a, b), where a and b are prime to v.  A
+    one-term side is then a constant and shares no factor, and equal sides
+    are their own gcd, so neither runs Euclid."""
+    if len(a.c) > 1 and len(b.c) > 1:
+        if a.c == b.c:
+            return _P_ONE, _P_ONE, a
+        g = a.gcd(b)
+        if g.c != _P_ONE.c:
+            return a.div_exact(g), b.div_exact(g), g
+    return a, b, _P_ONE
 
-    >>> (VFunc.v_power(1) + VFunc.v_power(-1)).text()
-    'v + v^-1'
-    >>> (VFunc.v_power(1) * VFunc.v_power(-1)).text()
-    '1'
+
+class VFunc:
+    """A rational function v^s * n/d in the canonical form of the module
+    docstring; .num and .den give it as one reduced fraction.
+
+    >>> x = VFunc.v_power(1) + VFunc.v_power(-1)
+    >>> x.s, x.n.text(), x.d.text()
+    (-1, 'v^2 + 1', '1')
+    >>> x.text(), x.den.text()
+    ('v + v^-1', 'v')
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("s", "n", "d")
 
     def __init__(self, num: VPoly, den: VPoly):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            self.num = _P_ZERO
-            self.den = _P_ONE
+            self.s, self.n, self.d = 0, _P_ZERO, _P_ONE
             return
-        g = num.gcd(den)
-        if g.c != _P_ONE.c:
-            num = num.div_exact(g)
-            den = den.div_exact(g)
-        self.num, self.den = _monic_pair(num, den)
+        vn, vd = num.valuation(), den.valuation()
+        n, d, _ = _reduce(num.shift(-vn), den.shift(-vd))
+        self.s = vn - vd
+        self.n, self.d = _monic_pair(n, d)
 
     @classmethod
-    def _raw(cls, num: VPoly, den: VPoly) -> "VFunc":
-        # Trusted constructor: (num, den) already canonical.
+    def _raw(cls, s: int, n: VPoly, d: VPoly) -> "VFunc":
+        # Trusted constructor: (s, n, d) already canonical.
         f = object.__new__(cls)
-        f.num = num
-        f.den = den
+        f.s = s
+        f.n = n
+        f.d = d
         return f
 
-    @classmethod
-    def _coprime(cls, num: VPoly, den: VPoly) -> "VFunc":
-        # Trusted constructor: num nonzero, gcd(num, den) = 1; den made monic.
-        return cls._raw(*_monic_pair(num, den))
+    @property
+    def num(self) -> VPoly:
+        return self.n.shift(self.s) if self.s > 0 else self.n
+
+    @property
+    def den(self) -> VPoly:
+        return self.d.shift(-self.s) if self.s < 0 else self.d
 
     @classmethod
     def from_int(cls, k) -> "VFunc":
         c = _coerce(k)
         if not c:
             return ZERO
-        return cls._raw(VPoly._raw({0: c}), _P_ONE)
+        return cls._raw(0, VPoly._raw({0: c}), _P_ONE)
 
     @classmethod
     def v_power(cls, e: int) -> "VFunc":
         """The Laurent monomial v^e (e may be negative)."""
         f = _POWERS.get(e)
         if f is None:
-            if e >= 0:
-                f = cls._raw(VPoly._raw({e: 1}), _P_ONE)
-            else:
-                f = cls._raw(_P_ONE, VPoly._raw({-e: 1}))
-            _POWERS[e] = f
+            f = _POWERS[e] = cls._raw(e, _P_ONE, _P_ONE)
         return f
 
     @classmethod
     def laurent(cls, coeffs: dict) -> "VFunc":
         """Build a Laurent polynomial from exponent -> coefficient."""
-        if not coeffs:
+        lo = min(coeffs, default=0)
+        p = VPoly({e - lo: c for e, c in coeffs.items()})
+        if p.is_zero():
             return ZERO
-        shift = min(coeffs)
-        if shift >= 0:
-            return cls(VPoly(coeffs), _P_ONE)
-        num = VPoly({e - shift: c for e, c in coeffs.items()})
-        return cls(num, VPoly._raw({-shift: 1}))
+        k = p.valuation()
+        return cls._raw(lo + k, p.shift(-k), _P_ONE)
 
     def is_zero(self) -> bool:
-        return not self.num.c
+        return not self.n.c
 
     def __bool__(self) -> bool:
-        return bool(self.num.c)
+        return bool(self.n.c)
 
     def __eq__(self, other) -> bool:
         if self is other:
             return True
         if not isinstance(other, VFunc):
             return NotImplemented
-        return self.num.c == other.num.c and self.den.c == other.den.c
+        return self.s == other.s and self.n.c == other.n.c and self.d.c == other.d.c
 
     def __add__(self, other: "VFunc") -> "VFunc":
-        d1, d2 = self.den.c, other.den.c
-        if len(d1) == 1 and len(d2) == 1:
-            (k1, c1), = d1.items()
-            (k2, c2), = d2.items()
-            if c1 == 1 and c2 == 1:
-                # Laurent denominators v^k: align and strip the common power.
-                kk = max(k1, k2)
-                s = self.num.shift(kk - k1) + other.num.shift(kk - k2)
-                if not s.c:
-                    return ZERO
-                drop = min(kk, s.valuation())
-                if drop:
-                    s = s.shift(-drop)
-                    kk -= drop
-                return VFunc._raw(s, VPoly._raw({kk: 1}) if kk else _P_ONE)
-        if d1 == d2:
-            return VFunc(self.num + other.num, self.den)
         # Henrici: t = n1 (d2/g) + n2 (d1/g), g = gcd(d1, d2), is prime to d1/g
-        # and d2/g, so only gcd(t, g) can cancel; t != 0 (x + y = 0 forces d1 = d2).
-        g = self.den.gcd(other.den)
-        if g.c == _P_ONE.c:
-            t = self.num * other.den + other.num * self.den
-            return VFunc._coprime(t, self.den * other.den)
-        dd1 = self.den.div_exact(g)
-        t = self.num * other.den.div_exact(g) + other.num * dd1
-        g = t.gcd(g)
-        if g.c == _P_ONE.c:
-            return VFunc._coprime(t, dd1 * other.den)
-        return VFunc._coprime(t.div_exact(g), dd1 * other.den.div_exact(g))
+        # and d2/g, so only gcd(t, g) can cancel.  A factor v^k of t moves to s.
+        s = min(self.s, other.s)
+        n1 = self.n.shift(self.s - s) if self.s != s else self.n
+        n2 = other.n.shift(other.s - s) if other.s != s else other.n
+        e1, e2, g = _reduce(self.d, other.d)
+        t = n1 * e2 + n2 * e1
+        if not t.c:
+            return ZERO
+        k = t.valuation()
+        if k:
+            t = t.shift(-k)
+        t, g, _ = _reduce(t, g)
+        return VFunc._raw(s + k, t, e1 * e2 * g)
 
     def __neg__(self) -> "VFunc":
-        if not self.num.c:
+        if not self.n.c:
             return self
-        return VFunc._raw(-self.num, self.den)
+        return VFunc._raw(self.s, -self.n, self.d)
 
     def __sub__(self, other: "VFunc") -> "VFunc":
         return self + (-other)
 
     def __mul__(self, other: "VFunc") -> "VFunc":
-        n1, n2 = self.num.c, other.num.c
-        if not n1 or not n2:
+        if not self.n.c or not other.n.c:
             return ZERO
-        d1, d2 = self.den.c, other.den.c
-        if len(d1) == 1 and len(d2) == 1:
-            (k1, c1), = d1.items()
-            (k2, c2), = d2.items()
-            if c1 == 1 and c2 == 1:
-                if len(n1) == 1 and len(n2) == 1:
-                    (e1, a1), = n1.items()
-                    (e2, a2), = n2.items()
-                    if a1 == 1 and a2 == 1:
-                        return VFunc.v_power(e1 - k1 + e2 - k2)
-                # Laurent denominators v^k: multiply and strip v factors.
-                num = self.num * other.num
-                kk = k1 + k2
-                drop = min(kk, num.valuation())
-                if drop:
-                    num = num.shift(-drop)
-                    kk -= drop
-                return VFunc._raw(num, VPoly._raw({kk: 1}) if kk else _P_ONE)
-        # A monomial a v^t shares only v factors with the other operand.
-        if len(n2) == 1 and len(d2) == 1:
-            return self._times_monomial(other)
-        if len(n1) == 1 and len(d1) == 1:
-            return other._times_monomial(self)
         # Cross-reduce before multiplying out; then no factor is shared.
-        g1 = self.num.gcd(other.den)
-        g2 = other.num.gcd(self.den)
-        n1 = self.num if g1.c == _P_ONE.c else self.num.div_exact(g1)
-        dd2 = other.den if g1.c == _P_ONE.c else other.den.div_exact(g1)
-        n2 = other.num if g2.c == _P_ONE.c else other.num.div_exact(g2)
-        dd1 = self.den if g2.c == _P_ONE.c else self.den.div_exact(g2)
-        return VFunc._coprime(n1 * n2, dd1 * dd2)
-
-    def _times_monomial(self, mono: "VFunc") -> "VFunc":
-        # self * a v^e/v^k, both nonzero.  With self = v^(vn - vd) n0/d0 and
-        # n0, d0 prime to v, the product is a v^s n0/d0: no gcd needed.
-        (e, a), = mono.num.c.items()
-        (k, _), = mono.den.c.items()
-        vn, vd = self.num.valuation(), self.den.valuation()
-        s = e - k + vn - vd
-        sn, sd = max(s, 0) - vn, max(-s, 0) - vd
-        num = self.num
-        if sn or a != 1:
-            num = VPoly._raw({x + sn: a * c for x, c in num.c.items()})
-        return VFunc._raw(num, self.den.shift(sd) if sd else self.den)
+        n1, d2, _ = _reduce(self.n, other.d)
+        n2, d1, _ = _reduce(other.n, self.d)
+        return VFunc._raw(self.s + other.s, n1 * n2, d1 * d2)
 
     def inv(self) -> "VFunc":
-        if not self.num.c:
+        if not self.n.c:
             raise ZeroDivisionError("inverse of the zero rational function")
-        return VFunc._coprime(self.den, self.num)
+        return VFunc._raw(-self.s, *_monic_pair(self.d, self.n))
 
     def __truediv__(self, other: "VFunc") -> "VFunc":
         return self * other.inv()
 
     def as_unit_monomial(self):
-        """If self = s * v^c with s in {1, -1}, return (s, c); else None."""
-        if len(self.num.c) != 1 or len(self.den.c) != 1:
-            return None
-        en, cn = next(iter(self.num.c.items()))
-        ed, cd = next(iter(self.den.c.items()))
-        r = cn / cd
-        if r == 1:
-            return (1, en - ed)
-        if r == -1:
-            return (-1, en - ed)
+        """If self = +-v^c, return (+-1, c); else None."""
+        if len(self.d.c) == 1 and self.n.c in ({0: 1}, {0: -1}):
+            return (int(self.n.c[0]), self.s)
         return None
 
     def evaluate(self, q) -> Fraction:
-        """Exact value at v = q; raises PoleError at a denominator root."""
+        """Exact value at v = q; raises PoleError at a root of d, and at
+        v = 0 when s < 0."""
         q = _coerce(q)
-        d = self.den.evaluate(q)
-        if not d:
+        d = self.d.evaluate(q)
+        if not d or (not q and self.s < 0):
             raise PoleError(f"pole at v = {q}")
-        return self.num.evaluate(q) / d
+        return Fraction(q) ** self.s * self.n.evaluate(q) / d
 
     def text(self) -> str:
-        if not self.num.c:
-            return "0"
-        if self.den.c == _P_ONE.c:
-            return self.num.text()
-        if self.den.is_monomial():
-            # Laurent polynomial: print with shifted exponents.
-            return _terms_text(self.num.c, self.den.valuation())
+        if self.d.c == _P_ONE.c:
+            # A Laurent polynomial: v^s n term by term.
+            return _terms_text(self.n.c, -self.s) if self.n.c else "0"
         return f"({self.num.text()})/({self.den.text()})"
 
     def __repr__(self):
@@ -452,8 +391,8 @@ class VFunc:
         return cls(num, den)
 
 
-ZERO = VFunc._raw(_P_ZERO, _P_ONE)
-ONE = VFunc._raw(_P_ONE, _P_ONE)
+ZERO = VFunc._raw(0, _P_ZERO, _P_ONE)
+ONE = VFunc._raw(0, _P_ONE, _P_ONE)
 _POWERS: dict = {0: ONE}
 
 _QINT: dict = {}

@@ -37,12 +37,13 @@ def generator_letters(p: Profile) -> list:
 
 
 def thread_count(threads=None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("UGLMN_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
+    """The worker count: `threads`, else UGLMN_THREADS, else 1; below 1 is a ValueError."""
+    if threads is None:
+        threads = os.environ.get("UGLMN_THREADS") or 1
+    n = int(threads)
+    if n < 1:
+        raise ValueError(f"worker count must be >= 1, got {n}")
+    return n
 
 
 @dataclass

@@ -342,6 +342,36 @@ def test_verify_negative_bound_exit_2(capsys):
     assert captured.err.startswith("error:")
 
 
+def test_input_path_that_is_a_directory_exit_2(capsys, tmp_path):
+    _assert_input_error(
+        capsys, ["expand", "--m", "1", "--n", "1", "--A", str(tmp_path), "--j", "0,0"]
+    )
+
+
+@pytest.mark.parametrize(
+    "side",
+    [{"0": "1", "+0": "1"}, {"1": "1", "01": "1"}],
+    ids=["plus-sign", "leading-zero"],
+)
+def test_coefficient_exponent_named_twice_exit_2(capsys, side):
+    # Two keys for one exponent would overwrite each other: 1 + 1 read as 1.
+    for coeff in ({"num": side, "den": {"0": "1"}}, {"num": {"0": "1"}, "den": side}):
+        term = {"coeff": coeff, "A": _ZERO_11, "j": [0, 0]}
+        _assert_input_error(
+            capsys, ["act", "--m", "1", "--n", "1", "--gen", "K1", "--input", json.dumps([term])]
+        )
+
+
+@pytest.mark.parametrize("threads, env", [("-4", None), ("0", None), (None, "0")])
+def test_verify_worker_count_below_one_exit_2(capsys, monkeypatch, threads, env):
+    if env is None:
+        monkeypatch.delenv("UGLMN_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("UGLMN_THREADS", env)
+    argv = ["verify", "--m", "1", "--n", "1", "--suite", "tensor", "--bound", "1"]
+    _assert_input_error(capsys, argv + (["--threads", threads] if threads else []))
+
+
 def test_output_is_byte_deterministic(capsys):
     args = ["expand", "--m", "2", "--n", "1", "--A", "0,0,1;0,0,0;0,0,0", "--j", "1,0,-1"]
     _, out1 = run_cli(capsys, *args)

@@ -1,5 +1,6 @@
 """Exact coefficient arithmetic: canonical forms, quantum integers, evaluation."""
 
+import doctest
 import inspect
 import random
 import sys
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from uglmn import qcoeff
 from uglmn.qcoeff import (
     ONE,
     ZERO,
@@ -93,12 +95,23 @@ def test_evaluate():
     assert v(1).evaluate(1) == 1
     with pytest.raises(PoleError):
         (v(1) - v(-1)).inv().evaluate(1)
+    # At v = 0 the pole comes from the stored power v^s alone.
+    assert v(2).evaluate(0) == 0
+    assert ONE.evaluate(0) == 1
+    for f in (v(-1), v(1) + v(-1)):
+        with pytest.raises(PoleError):
+            f.evaluate(0)
 
 
 def test_quantum_integer_at_one():
     # The canonical form of [i] has denominator v^(i-1), so v = 1 is not a pole.
     for i in range(0, 12):
         assert quantum_integer(i).evaluate(1) == i
+
+
+def test_module_doctests_run():
+    result = doctest.testmod(qcoeff)
+    assert result.failed == 0 and result.attempted >= 4
 
 
 def _random_vfunc(rng: random.Random) -> VFunc:
@@ -227,9 +240,14 @@ def _shared_factor_vfunc(rng: random.Random) -> VFunc:
 def _assert_canonical(f: VFunc) -> None:
     if f.num.is_zero():
         assert f.den.c == {0: 1}
+        assert (f.s, f.n.c, f.d.c) == (0, {}, {0: 1})
     else:
         assert f.num.gcd(f.den).c == {0: 1}
         assert f.den.leading_coeff() == 1
+        # The stored triple v^s * n/d: n, d prime to v and to each other, d monic.
+        assert f.n.c.get(0) and f.d.c.get(0)
+        assert f.d.leading_coeff() == 1
+        assert f.n.gcd(f.d).c == {0: 1}
 
 
 def test_fast_paths_match_full_gcd_constructor():
