@@ -61,11 +61,20 @@ def _read_source(text: str) -> str:
     return stripped
 
 
+def _load_json(src: str):
+    """json.loads, with input nested too deeply to decode as an input error."""
+    try:
+        return json.loads(src)
+    except RecursionError as exc:
+        raise InputError(f"cannot decode JSON input: {exc}") from exc
+
+
 def parse_matrix(text: str, p: Profile) -> SuperMatrix:
     src = _read_source(text)
     if src.startswith("{"):
+        obj = _load_json(src)
         try:
-            mat = SuperMatrix.from_json(json.loads(src))
+            mat = SuperMatrix.from_json(obj)
         except TypeError as exc:
             raise InputError(f"malformed matrix {text!r}: {exc}") from exc
         if mat.profile != p:
@@ -83,7 +92,7 @@ def parse_matrix(text: str, p: Profile) -> SuperMatrix:
 def parse_vector(text: str, size: int) -> tuple:
     src = _read_source(text)
     if src.startswith("["):
-        vals = json_ints(json.loads(src), f"vector {text!r}")
+        vals = json_ints(_load_json(src), f"vector {text!r}")
     else:
         try:
             vals = [int(x) for x in src.split(",")]
@@ -107,7 +116,7 @@ def parse_generator(text: str, p: Profile):
 
 
 def parse_element(text: str, space: str, p: Profile, flavor: str) -> LinComb:
-    obj = json.loads(_read_source(text))
+    obj = _load_json(_read_source(text))
     if space == "factor":
         return factor_element_from_json(obj, p, flavor)
     x = tensor_element_from_json(obj) if space == "tensor" else series_element_from_json(obj)

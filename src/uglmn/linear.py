@@ -108,18 +108,6 @@ class LinComb:
         return "LinComb(" + " + ".join(parts) + ")"
 
 
-def _coeff_from_json(obj) -> VFunc:
-    """A coefficient {"num": {...}, "den": {...}} whose polynomial
-    coefficients are strings or integers.  Floats and booleans are rejected,
-    not converted: Fraction(0.1) would read the binary value of 0.1."""
-    for side in (obj["num"], obj["den"]):
-        if not isinstance(side, dict) or any(isinstance(c, (float, bool)) for c in side.values()):
-            raise ValueError(f"coefficient must map exponents to strings or integers, got {side!r}")
-        if len({int(e) for e in side}) != len(side):
-            raise ValueError(f"coefficient names one exponent twice, got {side!r}")
-    return VFunc.from_json(obj)
-
-
 def element_from_json(obj, parse_key) -> LinComb:
     """An element from JSON terms [{"coeff": ..., <key fields>}, ...], with
     parse_key(term) -> basis key.  Every malformed shape is a ValueError: an
@@ -133,7 +121,7 @@ def element_from_json(obj, parse_key) -> LinComb:
             raise ValueError(f"element term must be a JSON object, got {t!r}")
         try:
             key = parse_key(t)
-            coeff = _coeff_from_json(t["coeff"])
+            coeff = VFunc.from_json(t["coeff"])
         except TypeError as exc:
             raise ValueError(f"malformed element term {t!r}: {exc}") from exc
         if key in terms:

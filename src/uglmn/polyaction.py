@@ -21,6 +21,8 @@ the two must agree.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .linear import LinComb, element_from_json
 from .qcoeff import VFunc, quantum_integer, v_sub
 from .superindex import Profile, SuperMatrix, f_stat, g_stat, json_ints, sigma
@@ -31,12 +33,12 @@ ZERO_ONE = "0|1"
 ONE_ZERO = "1|0"
 
 
-class DividedMonomial:
+class DividedMonomial(namedtuple("DividedMonomial", "profile flavor exps")):
     """A divided-power monomial of one factor algebra."""
 
-    __slots__ = ("profile", "flavor", "exps", "_hash")
+    __slots__ = ()
 
-    def __init__(self, profile: Profile, flavor: str, exps):
+    def __new__(cls, profile: Profile, flavor: str, exps):
         if flavor not in (ZERO_ONE, ONE_ZERO):
             raise ValueError(f"unknown flavor {flavor!r}")
         exps = tuple(int(x) for x in exps)
@@ -49,30 +51,11 @@ class DividedMonomial:
             odd_var = i >= m if flavor == ZERO_ONE else i < m
             if odd_var and x > 1:
                 raise ValueError(f"odd slot {i + 1} carries exponent {x} > 1")
-        self.profile = profile
-        self.flavor = flavor
-        self.exps = exps
-        self._hash = hash((flavor, profile, exps))
+        return tuple.__new__(cls, (profile, flavor, exps))
 
     @classmethod
     def _make(cls, profile, flavor, exps):
-        x = object.__new__(cls)
-        x.profile = profile
-        x.flavor = flavor
-        x.exps = exps
-        x._hash = hash((flavor, profile, exps))
-        return x
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DividedMonomial)
-            and self.flavor == other.flavor
-            and self.profile == other.profile
-            and self.exps == other.exps
-        )
+        return tuple.__new__(cls, (profile, flavor, exps))
 
     def odd_slot(self, i: int) -> bool:
         """True when the 1-based slot i is an odd variable."""

@@ -386,9 +386,20 @@ class VFunc:
 
     @classmethod
     def from_json(cls, obj: dict) -> "VFunc":
-        num = VPoly({int(e): Fraction(c) for e, c in obj["num"].items()})
-        den = VPoly({int(e): Fraction(c) for e, c in obj["den"].items()})
-        return cls(num, den)
+        """A coefficient {"num": {...}, "den": {...}} whose polynomial
+        coefficients are strings or integers.  Floats and booleans are
+        rejected, not converted: Fraction(0.1) would read the binary value of
+        0.1.  So are two keys naming one exponent, such as "0" and "+0",
+        which would overwrite each other."""
+        sides = []
+        for side in (obj["num"], obj["den"]):
+            if not isinstance(side, dict) or any(isinstance(c, (float, bool)) for c in side.values()):
+                raise ValueError(f"coefficient must map exponents to strings or integers, got {side!r}")
+            c = {int(e): Fraction(x) for e, x in side.items()}
+            if len(c) != len(side):
+                raise ValueError(f"coefficient names one exponent twice, got {side!r}")
+            sides.append(VPoly(c))
+        return cls(*sides)
 
 
 ZERO = VFunc._raw(0, _P_ZERO, _P_ONE)

@@ -15,6 +15,8 @@ on the window the truncation determines.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .linear import LinComb, element_from_json
 from .polyaction import act_tensor
 from .qcoeff import VFunc, quantum_integer, v_gap, v_sub
@@ -37,38 +39,22 @@ from .words import f as f_letter
 from .words import k as k_letter
 
 
-class SeriesBasis:
+class SeriesBasis(namedtuple("SeriesBasis", "mat j")):
     """Label (A, j): a diagonal-free matrix and an integer twist vector."""
 
-    __slots__ = ("mat", "j", "_hash")
+    __slots__ = ()
 
-    def __init__(self, mat: SuperMatrix, j):
+    def __new__(cls, mat: SuperMatrix, j):
         if not mat.is_offdiag():
             raise ValueError("series labels need a diagonal-free matrix")
         j = tuple(int(x) for x in j)
         if len(j) != mat.profile.size:
             raise ValueError(f"twist vector must have length {mat.profile.size}")
-        self.mat = mat
-        self.j = j
-        self._hash = hash((mat, j))
+        return tuple.__new__(cls, (mat, j))
 
     @classmethod
     def _make(cls, mat, j):
-        b = object.__new__(cls)
-        b.mat = mat
-        b.j = j
-        b._hash = hash((mat, j))
-        return b
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SeriesBasis)
-            and self.mat == other.mat
-            and self.j == other.j
-        )
+        return tuple.__new__(cls, (mat, j))
 
     def __repr__(self):
         body = ";".join(",".join(map(str, r)) for r in self.mat.rows)

@@ -9,19 +9,18 @@ All public indices are 1-based.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(namedtuple("Profile", "m n")):
     """Block sizes (m, n) with m + n > 0; indices 1..m are even, the rest odd."""
 
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0 or self.m + self.n == 0:
+    def __new__(cls, m: int, n: int):
+        if m < 0 or n < 0 or m + n == 0:
             raise ValueError("profile needs m, n >= 0 and m + n > 0")
+        return tuple.__new__(cls, (m, n))
 
     @property
     def size(self) -> int:
@@ -62,13 +61,13 @@ def alpha(h: int, size: int) -> tuple:
     return tuple(1 if k == h - 1 else -1 if k == h else 0 for k in range(size))
 
 
-class SuperMatrix:
+class SuperMatrix(namedtuple("SuperMatrix", "profile rows")):
     """A square matrix over N with Z2-valued off-diagonal blocks: entries
     a_{i,j} with parities of i and j differing must be 0 or 1."""
 
-    __slots__ = ("profile", "rows", "_hash")
+    __slots__ = ()
 
-    def __init__(self, profile: Profile, rows):
+    def __new__(cls, profile: Profile, rows):
         rows = tuple(tuple(int(x) for x in r) for r in rows)
         size = profile.size
         if len(rows) != size or any(len(r) != size for r in rows):
@@ -82,28 +81,12 @@ class SuperMatrix:
                     raise ValueError(
                         f"off-diagonal-block entry ({i + 1},{j + 1}) = {x} exceeds 1"
                     )
-        self.profile = profile
-        self.rows = rows
-        self._hash = hash((profile, rows))
+        return tuple.__new__(cls, (profile, rows))
 
     @classmethod
     def _make(cls, profile: Profile, rows: tuple) -> "SuperMatrix":
         # Trusted constructor: rows validated by the caller.
-        a = object.__new__(cls)
-        a.profile = profile
-        a.rows = rows
-        a._hash = hash((profile, rows))
-        return a
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SuperMatrix)
-            and self.profile == other.profile
-            and self.rows == other.rows
-        )
+        return tuple.__new__(cls, (profile, rows))
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i - 1][j - 1]

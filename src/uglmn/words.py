@@ -9,7 +9,7 @@ exponent, possibly negative.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .linear import LinComb
 from .qcoeff import quantum_factorial
@@ -17,22 +17,20 @@ from .qcoeff import quantum_factorial
 E, F, K = "E", "F", "K"
 
 
-@dataclass(frozen=True)
-class GenLetter:
-    kind: str
-    index: int
-    power: int = 1
+class GenLetter(namedtuple("GenLetter", "kind index power")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (E, F, K):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.index < 1:
+    def __new__(cls, kind: str, index: int, power: int = 1):
+        if kind not in (E, F, K):
+            raise ValueError(f"unknown generator kind {kind!r}")
+        if index < 1:
             raise ValueError("generator index must be >= 1")
-        if self.kind == K:
-            if self.power == 0:
+        if kind == K:
+            if power == 0:
                 raise ValueError("K letter needs a nonzero exponent")
-        elif self.power < 1:
+        elif power < 1:
             raise ValueError("divided-power exponent must be >= 1")
+        return tuple.__new__(cls, (kind, index, power))
 
     def text(self) -> str:
         if self.kind == K:

@@ -404,3 +404,20 @@ def test_module_entry_point():
     )
     assert res.returncode == 0
     assert json.loads(res.stdout)[0]["word"] == "E1"
+
+
+def test_act_input_file_nested_too_deeply_exit_2(capsys, tmp_path):
+    # json.loads raises RecursionError on nesting past the interpreter's limit.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    _assert_input_error(
+        capsys, ["act", "--m", "1", "--n", "1", "--gen", "E1", "--input", str(path)]
+    )
+
+
+def test_expand_matrix_json_nested_too_deeply_exit_2(capsys, tmp_path):
+    matrix = '{"m": ' + "[" * 5_000 + "]" * 5_000 + "}"
+    _assert_input_error(capsys, ["expand", "--m", "1", "--n", "1", "--A", matrix, "--j", "0,0"])
+    path = tmp_path / "deep-matrix.json"
+    path.write_text(matrix)
+    _assert_input_error(capsys, ["expand", "--m", "1", "--n", "1", "--A", str(path), "--j", "0,0"])

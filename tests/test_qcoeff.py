@@ -183,6 +183,24 @@ def test_json_round_trip():
         assert VFunc.from_json(g.to_json()) == g
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"num": {"0": "1", "+0": "1"}, "den": {"0": "1"}},
+        {"num": {"0": "1"}, "den": {"1": "1", "01": "1"}},
+        {"num": {"0": 0.1}, "den": {"0": "1"}},
+        {"num": {"0": "1"}, "den": {"0": True}},
+        {"num": [1], "den": {"0": "1"}},
+    ],
+    ids=["exponent-twice", "exponent-twice-den", "float", "bool", "side-not-object"],
+)
+def test_from_json_rejects_ambiguous_coefficients(obj):
+    # "0"/"+0" would read 1 + 1 as 1, Fraction(0.1) the binary value of 0.1,
+    # and Fraction(True) the number 1.
+    with pytest.raises(ValueError):
+        VFunc.from_json(obj)
+
+
 def test_quantum_factorial_is_iterative():
     # Empty the cache so [60]! is built from [0]! within a small stack.
     saved = dict(_QFACT)

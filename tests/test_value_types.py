@@ -1,0 +1,61 @@
+"""Basis keys and generator letters are immutable tuples: hashing, equality
+and pickling come from `tuple`, and no invariant is an `assert`."""
+
+import ast
+import pathlib
+import pickle
+
+import pytest
+
+import uglmn
+from uglmn.polyaction import ZERO_ONE, DividedMonomial
+from uglmn.regular import SeriesBasis
+from uglmn.superindex import Profile, SuperMatrix
+from uglmn.words import K, GenLetter
+
+P21 = Profile(2, 1)
+ROWS = ((0, 1, 1), (2, 0, 0), (1, 0, 0))
+MAT = SuperMatrix(P21, ROWS)
+
+# (validated construction, trusted construction, a field to assign)
+CASES = {
+    "Profile": (lambda: Profile(2, 1), lambda: Profile._make((2, 1)), "m"),
+    "SuperMatrix": (lambda: SuperMatrix(P21, ROWS), lambda: SuperMatrix._make(P21, ROWS), "rows"),
+    "SeriesBasis": (
+        lambda: SeriesBasis(MAT, (1, -1, 0)),
+        lambda: SeriesBasis._make(MAT, (1, -1, 0)),
+        "j",
+    ),
+    "DividedMonomial": (
+        lambda: DividedMonomial(P21, ZERO_ONE, (3, 0, 1)),
+        lambda: DividedMonomial._make(P21, ZERO_ONE, (3, 0, 1)),
+        "exps",
+    ),
+    "GenLetter": (lambda: GenLetter(K, 2, -3), lambda: GenLetter._make((K, 2, -3)), "power"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_value_type_contract(name):
+    validated, trusted, field = CASES[name]
+    a, b = validated(), trusted()
+    assert type(a) is type(b) and a == b and hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(a, field))
+    c = pickle.loads(pickle.dumps(a))
+    assert type(c) is type(a) and c == a and hash(c) == hash(a)
+
+
+def test_keys_of_different_kinds_are_unequal():
+    rows = ((0, 1, 1), (0, 0, 0), (1, 0, 0))
+    mat, label = SuperMatrix(P21, rows), SeriesBasis(SuperMatrix(P21, rows), (0, 0, 0))
+    assert mat != label and label != mat and len({mat, label}) == 2
+
+
+def test_source_has_no_assert():
+    # python -O strips assert statements, so invariants must raise instead.
+    found = []
+    for path in sorted(pathlib.Path(uglmn.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert found == []
