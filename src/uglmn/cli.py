@@ -41,6 +41,12 @@ from .suites import run_factor_suites, run_series_suites, run_tensor_suites, thr
 from .words import K, apply_word, word_from_text, word_text
 
 FLAVORS = {"01": ZERO_ONE, "10": ONE_ZERO}
+# Each --space: its single-letter action and its output codec.
+SPACES = {
+    "factor": (act_factor, factor_element_to_json),
+    "tensor": (act_tensor, tensor_element_to_json),
+    "series": (act_letter, series_element_to_json),
+}
 
 
 class InputError(Exception):
@@ -129,14 +135,6 @@ def parse_element(text: str, space: str, p: Profile, flavor: str) -> LinComb:
     return x
 
 
-def element_to_json(x: LinComb, space: str) -> list:
-    if space == "factor":
-        return factor_element_to_json(x)
-    if space == "tensor":
-        return tensor_element_to_json(x)
-    return series_element_to_json(x)
-
-
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
 
@@ -144,15 +142,9 @@ def _emit(obj) -> None:
 def cmd_act(args) -> int:
     p = Profile(args.m, args.n)
     letter = parse_generator(args.gen, p)
-    flavor = FLAVORS[args.flavor]
-    x = parse_element(args.input, args.space, p, flavor)
-    if args.space == "factor":
-        res = apply_word((letter,), x, act_factor)
-    elif args.space == "tensor":
-        res = apply_word((letter,), x, act_tensor)
-    else:
-        res = apply_word((letter,), x, act_letter)
-    _emit(element_to_json(res, args.space))
+    x = parse_element(args.input, args.space, p, FLAVORS[args.flavor])
+    act, to_json = SPACES[args.space]
+    _emit(to_json(apply_word((letter,), x, act)))
     return 0
 
 
@@ -160,7 +152,7 @@ def cmd_multiply(args) -> int:
     p = Profile(args.m, args.n)
     lhs = parse_element(args.lhs, "series", p, ZERO_ONE)
     rhs = parse_element(args.rhs, "series", p, ZERO_ONE)
-    _emit(element_to_json(multiply(lhs, rhs), "series"))
+    _emit(series_element_to_json(multiply(lhs, rhs)))
     return 0
 
 
@@ -179,7 +171,7 @@ def cmd_truncate(args) -> int:
     p = Profile(args.m, args.n)
     mat = parse_matrix(args.A, p)
     j = parse_vector(args.j, p.size)
-    _emit(element_to_json(truncate(SeriesBasis(mat, j), args.L), "tensor"))
+    _emit(tensor_element_to_json(truncate(SeriesBasis(mat, j), args.L)))
     return 0
 
 
@@ -241,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("act", help="apply one generator to an element")
     common(sp)
-    sp.add_argument("--space", choices=["factor", "tensor", "series"], default="series")
+    sp.add_argument("--space", choices=list(SPACES), default="series")
     sp.add_argument("--gen", required=True, help="generator token, e.g. E1, F2, K3, K3^-1")
     sp.add_argument("--input", required=True, help="element JSON (inline or file)")
     sp.add_argument("--flavor", choices=sorted(FLAVORS), default="01")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .linear import LinComb
 from .polyaction import ZERO_ONE, DividedMonomial, act_factor, act_tensor
@@ -35,19 +36,14 @@ NOT_APPLICABLE = "not-applicable"
 EMPTY = "empty"  # applicable, but the basis had no vector to check
 
 
-@dataclass(frozen=True)
-class RelationId:
-    family: str
-    a: int = 0
-    b: int = 0
-    which: str = ""
+class Relation(NamedTuple):
+    """One defining relation: its label and its left-minus-right as a tuple
+    of word-keyed LinCombs, every one required to kill every basis vector
+    (no two words of one relation coincide); polys is None when the relation
+    needs generators the profile does not have."""
 
-    def label(self) -> str:
-        if self.family in ("QG6-square", "QG6-serre"):
-            return f"{self.family}({self.which})"
-        if self.which:
-            return f"{self.family}({self.a},{self.b},{self.which})"
-        return f"{self.family}({self.a},{self.b})"
+    label: str
+    polys: tuple | None
 
 
 @dataclass
@@ -96,36 +92,69 @@ class ActionHandle:
 
 
 def relations_for(p: Profile) -> list:
-    """Every relation instance valid for the profile, in a fixed order.
-    The QG6 entries are always listed; they report as not-applicable when
-    the required generators do not exist."""
-    size = p.size
-    m = p.m
+    """Every relation instance valid for the profile, in a fixed order, as
+    Relation(label, polys) records built here.  The QG6 entries are always
+    listed; their polys are None when the required generators do not exist."""
+    size, m = p.size, p.m
+    e_and_f = ((E, e_letter), (F, f_letter))
     out = []
+
+    def add(label, *polys):
+        out.append(Relation(label, tuple(LinComb(terms) for terms in polys)))
+
     for a in range(1, size + 1):
+        ka = k_letter(a, 1)
         for b in range(a, size + 1):
-            out.append(RelationId("QG1", a, b))
+            kb = k_letter(b, 1)
+            if a == b:
+                add(f"QG1({a},{b})", {(ka, k_letter(a, -1)): ONE, (): -ONE})
+            else:
+                add(f"QG1({a},{b})", {(ka, kb): ONE, (kb, ka): -ONE})
     for a in range(1, size + 1):
+        ka = k_letter(a, 1)
         for b in range(1, size):
-            out.append(RelationId("QG2", a, b))
+            sd = super_dot(basis_vector(a, size), alpha(b, size), p)
+            eb, fb = e_letter(b), f_letter(b)
+            add(
+                f"QG2({a},{b})",
+                {(ka, eb): ONE, (eb, ka): -VFunc.v_power(sd)},
+                {(ka, fb): ONE, (fb, ka): -VFunc.v_power(-sd)},
+            )
     for a in range(1, size):
         for b in range(1, size):
-            out.append(RelationId("QG3", a, b))
+            # Super bracket: anticommutator exactly when both indices are odd.
+            sign = ONE if a == b == m else -ONE
+            terms = {(e_letter(a), f_letter(b)): ONE, (f_letter(b), e_letter(a)): sign}
+            if a == b:
+                inv = v_gap(a, m).inv()
+                terms[(k_letter(a, 1), k_letter(a + 1, -1))] = -inv
+                terms[(k_letter(a, -1), k_letter(a + 1, 1))] = inv
+            add(f"QG3({a},{b})", terms)
     for a in range(1, size):
         for b in range(a + 2, size):
-            out.append(RelationId("QG4", a, b, E))
-            out.append(RelationId("QG4", a, b, F))
+            for which, x in e_and_f:
+                add(f"QG4({a},{b},{which})", {(x(a), x(b)): ONE, (x(b), x(a)): -ONE})
+    two = VFunc.v_power(1) + VFunc.v_power(-1)
     for a in range(1, size):
         if a == m:
             continue
         for b in (a - 1, a + 1):
             if 1 <= b < size:
-                out.append(RelationId("QG5", a, b, E))
-                out.append(RelationId("QG5", a, b, F))
-    out.append(RelationId("QG6-square", which=E))
-    out.append(RelationId("QG6-square", which=F))
-    out.append(RelationId("QG6-serre", which=E))
-    out.append(RelationId("QG6-serre", which=F))
+                for which, x in e_and_f:
+                    aab, aba, baa = (x(a), x(a), x(b)), (x(a), x(b), x(a)), (x(b), x(a), x(a))
+                    add(f"QG5({a},{b},{which})", {aab: ONE, aba: -two, baa: ONE})
+    square = m >= 1 and p.n >= 1
+    for which, x in e_and_f:
+        polys = (LinComb.single((x(m), x(m))),) if square else None
+        out.append(Relation(f"QG6-square({which})", polys))
+    compounds = compound_serre_words(m) if m >= 2 and p.n >= 2 else (None, None)
+    for (which, x), words in zip(e_and_f, compounds):
+        polys = None
+        if words:
+            odd = (x(m),)
+            terms = {odd + w: c for c, w in words} | {w + odd: c for c, w in words}
+            polys = (LinComb(terms),)
+        out.append(Relation(f"QG6-serre({which})", polys))
     return out
 
 
@@ -152,88 +181,31 @@ def compound_serre_words(m: int):
     return e_words, f_words
 
 
-def operator_terms(rel: RelationId, p: Profile):
-    """The relation's left-minus-right as a list of operator polynomials
-    (each a LinComb over words), every one required to kill every basis
-    vector.  No two words of one relation coincide.  None when the relation
-    needs generators the profile does not have."""
-    m, size = p.m, p.size
-    a, b = rel.a, rel.b
-    fam = rel.family
-    if fam == "QG1":
-        if a == b:
-            return [LinComb({(k_letter(a, 1), k_letter(a, -1)): ONE, (): -ONE})]
-        ka, kb = k_letter(a, 1), k_letter(b, 1)
-        return [LinComb({(ka, kb): ONE, (kb, ka): -ONE})]
-    if fam == "QG2":
-        sd = super_dot(basis_vector(a, size), alpha(b, size), p)
-        ka = k_letter(a, 1)
-        return [
-            LinComb({(ka, e_letter(b)): ONE, (e_letter(b), ka): -VFunc.v_power(sd)}),
-            LinComb({(ka, f_letter(b)): ONE, (f_letter(b), ka): -VFunc.v_power(-sd)}),
-        ]
-    if fam == "QG3":
-        # Super bracket: anticommutator exactly when both indices are odd.
-        sign = ONE if (a == m and b == m) else -ONE
-        terms = {(e_letter(a), f_letter(b)): ONE, (f_letter(b), e_letter(a)): sign}
-        if a == b:
-            inv = v_gap(a, m).inv()
-            terms[(k_letter(a, 1), k_letter(a + 1, -1))] = -inv
-            terms[(k_letter(a, -1), k_letter(a + 1, 1))] = inv
-        return [LinComb(terms)]
-    if fam == "QG4":
-        x = e_letter if rel.which == E else f_letter
-        return [LinComb({(x(a), x(b)): ONE, (x(b), x(a)): -ONE})]
-    if fam == "QG5":
-        x = e_letter if rel.which == E else f_letter
-        two = VFunc.v_power(1) + VFunc.v_power(-1)
-        aab, aba, baa = (x(a), x(a), x(b)), (x(a), x(b), x(a)), (x(b), x(a), x(a))
-        return [LinComb({aab: ONE, aba: -two, baa: ONE})]
-    if fam == "QG6-square":
-        if m < 1 or p.n < 1:
-            return None
-        x = e_letter if rel.which == E else f_letter
-        return [LinComb.single((x(m), x(m)))]
-    if fam == "QG6-serre":
-        if m < 2 or p.n < 2:
-            return None
-        e_words, f_words = compound_serre_words(m)
-        if rel.which == E:
-            words, odd = e_words, e_letter(m)
-        else:
-            words, odd = f_words, f_letter(m)
-        terms = {(odd,) + w: c for c, w in words}
-        terms.update({w + (odd,): c for c, w in words})
-        return [LinComb(terms)]
-    raise ValueError(f"unknown relation family {fam!r}")
-
-
 def residual_to_json(x: LinComb) -> list:
     items = sorted(x.terms.items(), key=lambda kv: repr(kv[0]))
     return [{"coeff": c.to_json(), "key": repr(key)} for key, c in items]
 
 
-def check_relation(rel: RelationId, handle: ActionHandle) -> RelationReport:
+def check_relation(rel: Relation, handle: ActionHandle) -> RelationReport:
     """Evaluate one relation on every basis vector; stop at the first
     nonzero residual."""
-    polys = operator_terms(rel, handle.profile)
-    if polys is None:
-        return RelationReport(rel.label(), NOT_APPLICABLE)
+    if rel.polys is None:
+        return RelationReport(rel.label, NOT_APPLICABLE)
     checked = 0
     act = handle.act
     for key in handle.basis:
         start = LinComb.single(key)
-        for poly in polys:
+        for poly in rel.polys:
             residual = poly.bind(lambda word: apply_word(word, start, act))
             if not residual.is_zero():
                 return RelationReport(
-                    rel.label(),
+                    rel.label,
                     FAIL,
                     checked,
                     {"basis": repr(key), "residual": residual_to_json(residual)},
                 )
         checked += 1
-    return RelationReport(rel.label(), PASS if checked else EMPTY, checked)
+    return RelationReport(rel.label, PASS if checked else EMPTY, checked)
 
 
 def full_suite(handle: ActionHandle) -> SuiteReport:

@@ -24,6 +24,8 @@ from .relcheck import factor_handle, full_suite, series_handle, tensor_handle
 from .superindex import Profile, all_matrices, all_offdiag
 from .words import e, f, k
 
+SERIES_LEVEL = 3  # diagonal level of the truncations in run_series_suites
+
 
 def generator_letters(p: Profile) -> list:
     out = []
@@ -37,13 +39,14 @@ def generator_letters(p: Profile) -> list:
 
 
 def thread_count(threads=None) -> int:
-    """The worker count: `threads`, else UGLMN_THREADS, else 1; below 1 is a ValueError."""
+    """The worker count: `threads`, else UGLMN_THREADS, else 1, capped at the
+    CPU count; below 1 is a ValueError."""
     if threads is None:
         threads = os.environ.get("UGLMN_THREADS") or 1
     n = int(threads)
     if n < 1:
         raise ValueError(f"worker count must be >= 1, got {n}")
-    return n
+    return min(n, os.cpu_count() or 1)
 
 
 @dataclass
@@ -156,10 +159,10 @@ def run_tensor_suites(p: Profile, bound: int, threads=None) -> list:
     return [full_suite(tensor_handle(p, bound)), tensor_agreement(p, bound, threads)]
 
 
-def run_series_suites(p: Profile, bound: int, j_values=None, level: int = 3, threads=None) -> list:
-    if j_values is None:
-        j_values = default_j_values(p)
+def run_series_suites(p: Profile, bound: int, threads=None) -> list:
+    """Relations, and truncations at SERIES_LEVEL, on every default twist."""
+    j_values = default_j_values(p)
     return [
         full_suite(series_handle(p, bound, j_values)),
-        series_truncation_agreement(p, bound, j_values, level, threads),
+        series_truncation_agreement(p, bound, j_values, SERIES_LEVEL, threads),
     ]

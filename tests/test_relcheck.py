@@ -7,9 +7,10 @@ import pytest
 from uglmn.polyaction import ONE_ZERO, ZERO_ONE
 from uglmn.qcoeff import ONE, VFunc
 from uglmn.relcheck import (
+    EMPTY,
     NOT_APPLICABLE,
     PASS,
-    RelationId,
+    ActionHandle,
     check_relation,
     compound_serre_words,
     factor_handle,
@@ -23,6 +24,10 @@ from uglmn.superindex import Profile
 P11 = Profile(1, 1)
 P21 = Profile(2, 1)
 P22 = Profile(2, 2)
+
+
+def _relation(p, label):
+    return next(rel for rel in relations_for(p) if rel.label == label)
 
 
 def test_compound_serre_words_coefficients():
@@ -46,29 +51,68 @@ def test_relation_enumeration_counts():
     assert len(relations_for(P21)) == 22
     # (1,1): 3 + 2 + 1 + 0 + 0 + 4 = 10.
     assert len(relations_for(P11)) == 10
-    labels = [r.label() for r in relations_for(P11)]
+    labels = [r.label for r in relations_for(P11)]
     assert len(labels) == len(set(labels))
+
+
+LABELS_22 = (
+    [f"QG1({a},{b})" for a in range(1, 5) for b in range(a, 5)]
+    + [f"QG2({a},{b})" for a in range(1, 5) for b in range(1, 4)]
+    + [f"QG3({a},{b})" for a in range(1, 4) for b in range(1, 4)]
+    + ["QG4(1,3,E)", "QG4(1,3,F)"]
+    + ["QG5(1,2,E)", "QG5(1,2,F)", "QG5(3,2,E)", "QG5(3,2,F)"]
+    + ["QG6-square(E)", "QG6-square(F)", "QG6-serre(E)", "QG6-serre(F)"]
+)
+SERRE = {"QG6-serre(E)", "QG6-serre(F)"}
+SQUARE = {"QG6-square(E)", "QG6-square(F)"}
+
+
+def _statuses(m, n):
+    report = full_suite(ActionHandle("empty", Profile(m, n), (), None))
+    return [(r.relation, r.status) for r in report.reports]
+
+
+def test_relation_list_at_22():
+    statuses = _statuses(2, 2)
+    assert len(LABELS_22) == 41
+    assert [label for label, _ in statuses] == LABELS_22
+    assert all(status == EMPTY for _, status in statuses)
+
+
+@pytest.mark.parametrize(
+    "m, n, absent",
+    [
+        (1, 1, SERRE),
+        (2, 1, SERRE),
+        (1, 2, SERRE),
+        (3, 1, SERRE),
+        (2, 0, SERRE | SQUARE),
+        (0, 2, SERRE | SQUARE),
+    ],
+)
+def test_not_applicable_relations(m, n, absent):
+    assert {label for label, status in _statuses(m, n) if status == NOT_APPLICABLE} == absent
 
 
 def test_qg3_diagonal_on_factor_module():
     h = factor_handle(P11, ZERO_ONE, 3)
-    rep = check_relation(RelationId("QG3", 1, 1), h)
+    rep = check_relation(_relation(P11, "QG3(1,1)"), h)
     assert rep.status == PASS and rep.checked == len(h.basis)
 
 
 def test_qg6_square_on_factor_module():
     h = factor_handle(P21, ZERO_ONE, 3)
-    rep = check_relation(RelationId("QG6-square", which="E"), h)
+    rep = check_relation(_relation(P21, "QG6-square(E)"), h)
     assert rep.status == PASS
-    rep = check_relation(RelationId("QG6-square", which="F"), h)
+    rep = check_relation(_relation(P21, "QG6-square(F)"), h)
     assert rep.status == PASS
 
 
 def test_qg1_smoke():
     h = factor_handle(P11, ONE_ZERO, 2)
-    rep = check_relation(RelationId("QG1", 1, 2), h)
+    rep = check_relation(_relation(P11, "QG1(1,2)"), h)
     assert rep.status == PASS
-    rep = check_relation(RelationId("QG1", 2, 2), h)
+    rep = check_relation(_relation(P11, "QG1(2,2)"), h)
     assert rep.status == PASS
 
 

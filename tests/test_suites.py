@@ -1,10 +1,13 @@
 """Agreement grids: shards partition the grid, build only their own matrices,
-the sharded runner gives the same report as one process, an empty grid does
-not pass, and a lost action term is caught.  Relations and truncations on a
+the sharded runner gives the same report as one process and starts at most
+one worker per CPU, an empty grid does not pass, and a lost action term is
+caught.  Relations and truncations on a
 fixed sample of (2,2) labels, where the super Serre relations apply."""
 
+import concurrent.futures
 import json
 import math
+import os
 import random
 
 import pytest
@@ -17,7 +20,6 @@ from uglmn.relcheck import (
     NOT_APPLICABLE,
     PASS,
     ActionHandle,
-    RelationId,
     check_relation,
     full_suite,
     relations_for,
@@ -148,7 +150,8 @@ def test_series_relations_on_a_22_sample():
         return -res if letter.kind == E and letter.index == 2 else res
 
     mutated = ActionHandle("mutated", P22, labels, negate_e2)
-    assert check_relation(RelationId("QG3", 2, 2), mutated).status == FAIL
+    qg3_22 = next(rel for rel in relations_for(P22) if rel.label == "QG3(2,2)")
+    assert check_relation(qg3_22, mutated).status == FAIL
 
 
 def test_truncation_on_a_22_sample(monkeypatch):
@@ -169,3 +172,28 @@ def test_truncation_on_a_22_sample(monkeypatch):
     failures = failing()
     assert len(failures) == 49
     assert set(failures) == {"E2", "F2"}
+
+
+def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(suites, "act_tensor", _drop_one_term(suites.act_tensor))
+    serial = tensor_agreement(P11, 2, threads=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cpus = os.cpu_count() or 1
+    report = tensor_agreement(P11, 2, threads=cpus + 3)
+    assert all(workers <= cpus for workers in asked)
+    _same_report(serial, report)
