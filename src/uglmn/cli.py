@@ -41,11 +41,12 @@ from .suites import run_factor_suites, run_series_suites, run_tensor_suites, thr
 from .words import K, apply_word, word_from_text, word_text
 
 FLAVORS = {"01": ZERO_ONE, "10": ONE_ZERO}
-# Each --space: its single-letter action and its output codec.
+# Each --space: its single-letter action, its input codec (called with the
+# element JSON, the profile and the flavor) and its output codec.
 SPACES = {
-    "factor": (act_factor, factor_element_to_json),
-    "tensor": (act_tensor, tensor_element_to_json),
-    "series": (act_letter, series_element_to_json),
+    "factor": (act_factor, factor_element_from_json, factor_element_to_json),
+    "tensor": (act_tensor, lambda obj, p, flavor: tensor_element_from_json(obj), tensor_element_to_json),
+    "series": (act_letter, lambda obj, p, flavor: series_element_from_json(obj), series_element_to_json),
 }
 
 
@@ -122,15 +123,11 @@ def parse_generator(text: str, p: Profile):
 
 
 def parse_element(text: str, space: str, p: Profile, flavor: str) -> LinComb:
-    obj = _load_json(_read_source(text))
-    if space == "factor":
-        return factor_element_from_json(obj, p, flavor)
-    x = tensor_element_from_json(obj) if space == "tensor" else series_element_from_json(obj)
+    x = SPACES[space][1](_load_json(_read_source(text)), p, flavor)
     for key, _ in x:
-        profile = key.profile if space == "tensor" else key.mat.profile
-        if profile != p:
+        if key.profile != p:
             raise InputError(
-                f"element profile {profile.m}|{profile.n} does not match --m/--n"
+                f"element profile {key.profile.m}|{key.profile.n} does not match --m/--n"
             )
     return x
 
@@ -143,7 +140,7 @@ def cmd_act(args) -> int:
     p = Profile(args.m, args.n)
     letter = parse_generator(args.gen, p)
     x = parse_element(args.input, args.space, p, FLAVORS[args.flavor])
-    act, to_json = SPACES[args.space]
+    act, _, to_json = SPACES[args.space]
     _emit(to_json(apply_word((letter,), x, act)))
     return 0
 

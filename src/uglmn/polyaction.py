@@ -21,6 +21,7 @@ the two must agree.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 
 from .linear import LinComb, element_from_json
@@ -73,36 +74,18 @@ class DividedMonomial(namedtuple("DividedMonomial", "profile flavor exps")):
         return f"X^({','.join(map(str, self.exps))};{self.flavor})"
 
 
-# Sign/exponent/bracket coefficient cache: (h, exponent, m, bracket, negate) -> VFunc.
-_COEFF_CACHE: dict = {}
-
-
+@functools.cache
 def _coeff(h: int, exp: int, m: int, bracket: int, neg: bool) -> VFunc:
-    """(+-) v_h^exp [bracket], cached."""
-    key = (h, exp, m, bracket, neg)
-    c = _COEFF_CACHE.get(key)
-    if c is None:
-        c = v_sub(h, exp, m) * quantum_integer(bracket)
-        if neg:
-            c = -c
-        _COEFF_CACHE[key] = c
-    return c
+    """(+-) v_h^exp [bracket]."""
+    c = v_sub(h, exp, m) * quantum_integer(bracket)
+    return -c if neg else c
 
 
-# Coproduct move coefficient cache: (bracket, exponent, negate) -> VFunc.
-_MOVE_CACHE: dict = {}
-
-
+@functools.cache
 def _move_coeff(bracket: int, exp: int, neg: bool) -> VFunc:
-    """(+-) [bracket] v^exp, cached."""
-    key = (bracket, exp, neg)
-    c = _MOVE_CACHE.get(key)
-    if c is None:
-        c = quantum_integer(bracket) * VFunc.v_power(exp)
-        if neg:
-            c = -c
-        _MOVE_CACHE[key] = c
-    return c
+    """(+-) [bracket] v^exp."""
+    c = quantum_integer(bracket) * VFunc.v_power(exp)
+    return -c if neg else c
 
 
 _EMPTY = LinComb._raw({})

@@ -20,6 +20,8 @@ operands skips it by two rules, both applied in _reduce:
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
 
@@ -283,13 +285,11 @@ class VFunc:
             return ZERO
         return cls._raw(0, VPoly._raw({0: c}), _P_ONE)
 
-    @classmethod
-    def v_power(cls, e: int) -> "VFunc":
+    @staticmethod
+    @functools.cache
+    def v_power(e: int) -> "VFunc":
         """The Laurent monomial v^e (e may be negative)."""
-        f = _POWERS.get(e)
-        if f is None:
-            f = _POWERS[e] = cls._raw(e, _P_ONE, _P_ONE)
-        return f
+        return VFunc._raw(e, _P_ONE, _P_ONE)
 
     @classmethod
     def laurent(cls, coeffs: dict) -> "VFunc":
@@ -404,53 +404,37 @@ class VFunc:
 
 ZERO = VFunc._raw(0, _P_ZERO, _P_ONE)
 ONE = VFunc._raw(0, _P_ONE, _P_ONE)
-_POWERS: dict = {0: ONE}
-
-_QINT: dict = {}
-_QFACT: dict = {0: ONE}
 
 
+@functools.cache
 def quantum_integer(i: int) -> VFunc:
     """[i] = (v^i - v^-i)/(v - v^-1) = v^(i-1) + v^(i-3) + ... + v^(1-i).
 
     >>> quantum_integer(2).text()
     'v + v^-1'
     """
-    f = _QINT.get(i)
-    if f is None:
-        if i < 0:
-            raise ValueError("quantum integer of a negative argument")
-        f = VFunc.laurent({i - 1 - 2 * k: 1 for k in range(i)})
-        _QINT[i] = f
-    return f
+    if i < 0:
+        raise ValueError("quantum integer of a negative argument")
+    return VFunc.laurent({i - 1 - 2 * k: 1 for k in range(i)})
 
 
+@functools.cache
 def quantum_factorial(a: int) -> VFunc:
     """[a]! = [1][2]...[a] with [0]! = 1."""
-    f = _QFACT.get(a)
-    if f is None:
-        if a < 0:
-            raise ValueError("quantum factorial of a negative argument")
-        # _QFACT holds 0..top without gaps; fill it upward to a.
-        top = max(_QFACT)
-        f = _QFACT[top]
-        for i in range(top + 1, a + 1):
-            f = f * quantum_integer(i)
-            _QFACT[i] = f
-    return f
+    if a < 0:
+        raise ValueError("quantum factorial of a negative argument")
+    return math.prod(map(quantum_integer, range(2, a + 1)), start=ONE)
 
 
+@functools.cache
 def v_sub(h: int, e: int, m: int) -> VFunc:
     """v_h^e where v_h = v for h <= m and v^-1 for h > m (1-based h)."""
     if h < 1:
         raise IndexError("generator subscript must be >= 1")
-    if h > m:
-        e = -e
-    # The power cache is read here directly: every action weight passes here.
-    f = _POWERS.get(e)
-    return VFunc.v_power(e) if f is None else f
+    return VFunc.v_power(-e if h > m else e)
 
 
+@functools.cache
 def v_gap(h: int, m: int) -> VFunc:
     """v_h - v_h^{-1}."""
     return v_sub(h, 1, m) - v_sub(h, -1, m)

@@ -15,6 +15,7 @@ on the window the truncation determines.
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 
 from .linear import LinComb, element_from_json
@@ -55,6 +56,10 @@ class SeriesBasis(namedtuple("SeriesBasis", "mat j")):
     @classmethod
     def _make(cls, mat, j):
         return tuple.__new__(cls, (mat, j))
+
+    @property
+    def profile(self) -> Profile:
+        return self.mat.profile
 
     def __repr__(self):
         body = ";".join(",".join(map(str, r)) for r in self.mat.rows)
@@ -161,26 +166,17 @@ def act_word(word: Word, x: LinComb) -> LinComb:
     return apply_word(word, x, act_letter)
 
 
-def _diag_tuples(size: int, total: int):
-    if size == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _diag_tuples(size - 1, total - first):
-            yield (first,) + rest
-
-
 def truncate(b: SeriesBasis, level: int) -> LinComb:
     """Finite witness of a label: sum over |lam| <= level of
     v^(lam * j) X^[A + diag(lam)]."""
     if level < 0:
         raise ValueError("truncation level must be >= 0")
-    p = b.mat.profile
-    terms = {}
-    for total in range(level + 1):
-        for lam in _diag_tuples(p.size, total):
-            terms[b.mat.add_diag(lam)] = VFunc.v_power(super_dot(lam, b.j, p))
-    return LinComb._raw(terms)
+    p = b.profile
+    return LinComb._raw({
+        b.mat.add_diag(lam): VFunc.v_power(super_dot(lam, b.j, p))
+        for lam in itertools.product(range(level + 1), repeat=p.size)
+        if sum(lam) <= level
+    })
 
 
 def truncate_element(x: LinComb, level: int) -> LinComb:

@@ -17,6 +17,7 @@ from typing import NamedTuple
 from .linear import LinComb
 from .polyaction import ZERO_ONE, DividedMonomial, act_factor, act_tensor
 from .qcoeff import ONE, VFunc, v_gap
+from .regular import SeriesBasis, act_letter
 from .superindex import (
     Profile,
     all_matrices,
@@ -252,8 +253,6 @@ def tensor_handle(p: Profile, bound: int) -> ActionHandle:
 
 
 def series_handle(p: Profile, bound: int, j_values) -> ActionHandle:
-    from .regular import SeriesBasis, act_letter
-
     basis = tuple(
         SeriesBasis(a, j) for a in all_offdiag(p, bound) for j in j_values
     )

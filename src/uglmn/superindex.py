@@ -283,39 +283,31 @@ def strictly_lower(a: SuperMatrix, b: SuperMatrix) -> bool:
     return a != b and preceq(a, b)
 
 
-def _entry_choices(p: Profile, bound: int, positions, shard: int, nshards: int):
-    """Entry tuples over the given (row, column) positions with entries <= bound
-    (off-diagonal blocks capped at 1), in lexicographic order; only the
-    tuples with flat index = shard mod nshards, skipped before any matrix is
-    built from them."""
+def _matrices(p: Profile, bound: int, diag_bound: int, shard: int, nshards: int):
+    """Every SuperMatrix with entries <= bound, off-diagonal blocks capped at
+    1 and the diagonal at diag_bound, in row-major lexicographic order; only
+    those with index = shard mod nshards, skipped before any matrix is built."""
     if not 0 <= shard < nshards:
         raise ValueError(f"shard {shard} out of range 0..{nshards - 1}")
-    m = p.m
+    m, size = p.m, p.size
     ranges = [
-        range((min(bound, 1) if (i < m) != (j < m) else bound) + 1)
-        for i, j in positions
+        range((diag_bound if i == j else min(bound, 1) if (i < m) != (j < m) else bound) + 1)
+        for i in range(size)
+        for j in range(size)
     ]
-    return itertools.islice(itertools.product(*ranges), shard, None, nshards)
+    for flat in itertools.islice(itertools.product(*ranges), shard, None, nshards):
+        yield SuperMatrix._make(p, tuple(flat[i * size : (i + 1) * size] for i in range(size)))
 
 
 def all_matrices(p: Profile, bound: int, shard: int = 0, nshards: int = 1):
     """Iterate every SuperMatrix with entries <= bound (off-diagonal blocks
     capped at 1), in row-major lexicographic order; with nshards > 1 only
     every nshards-th of them, starting at index shard."""
-    size = p.size
-    positions = [(i, j) for i in range(size) for j in range(size)]
-    for flat in _entry_choices(p, bound, positions, shard, nshards):
-        rows = tuple(flat[i * size : (i + 1) * size] for i in range(size))
-        yield SuperMatrix._make(p, rows)
+    yield from _matrices(p, bound, bound, shard, nshards)
 
 
 def all_offdiag(p: Profile, bound: int, shard: int = 0, nshards: int = 1):
-    """Iterate every diagonal-free SuperMatrix with entries <= bound; with
-    nshards > 1 only every nshards-th of them, starting at index shard."""
-    size = p.size
-    positions = [(i, j) for i in range(size) for j in range(size) if i != j]
-    for choice in _entry_choices(p, bound, positions, shard, nshards):
-        rows = [[0] * size for _ in range(size)]
-        for (i, j), x in zip(positions, choice):
-            rows[i][j] = x
-        yield SuperMatrix._make(p, tuple(tuple(r) for r in rows))
+    """Iterate every diagonal-free SuperMatrix with entries <= bound, in the
+    order of all_matrices; with nshards > 1 only every nshards-th of them,
+    starting at index shard."""
+    yield from _matrices(p, bound, 0, shard, nshards)

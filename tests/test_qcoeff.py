@@ -15,7 +15,6 @@ from uglmn.qcoeff import (
     PoleError,
     VFunc,
     VPoly,
-    _QFACT,
     quantum_factorial,
     quantum_integer,
     v_sub,
@@ -202,18 +201,14 @@ def test_from_json_rejects_ambiguous_coefficients(obj):
 
 
 def test_quantum_factorial_is_iterative():
-    # Empty the cache so [60]! is built from [0]! within a small stack.
-    saved = dict(_QFACT)
-    _QFACT.clear()
-    _QFACT[0] = ONE
+    # Empty the memo so [60]! is built from [0]! within a small stack.
+    quantum_factorial.cache_clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 30)
     try:
         f60 = quantum_factorial(60)
     finally:
         sys.setrecursionlimit(limit)
-        _QFACT.clear()
-        _QFACT.update(saved)
     assert f60 == quantum_integer(60) * quantum_factorial(59)
 
 

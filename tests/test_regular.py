@@ -30,6 +30,7 @@ from uglmn.superindex import (
     all_offdiag,
     basis_vector,
     strictly_lower,
+    super_dot,
     unit_matrix,
     zero_matrix,
 )
@@ -174,6 +175,21 @@ def test_truncate_levels():
     # Twist e_2 weights the odd diagonal slot by v^-1.
     t = truncate(label(zero_matrix(P11), (0, 1)), 1)
     assert t[unit_matrix(P11, 2, 2)] == VFunc.v_power(-1)
+
+
+def test_truncate_at_22_sums_every_diagonal_shift():
+    p = Profile(2, 2)
+    a = SuperMatrix(p, ((0, 2, 1, 0), (0, 0, 0, 1), (1, 0, 0, 3), (0, 1, 0, 0)))
+    j = (1, -2, 0, 3)
+    # Each lam with |lam| <= 3, built as a multiset of the diagonal slots.
+    lams = [
+        tuple(slots.count(i) for i in range(p.size))
+        for total in range(4)
+        for slots in itertools.combinations_with_replacement(range(p.size), total)
+    ]
+    t = truncate(label(a, j), 3)
+    assert len(t) == 35
+    assert t.terms == {a.add_diag(lam): VFunc.v_power(super_dot(lam, j, p)) for lam in lams}
 
 
 def test_compare_truncated_k_and_e():

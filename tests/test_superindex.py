@@ -261,3 +261,12 @@ def test_enumeration_counts():
     assert sum(1 for _ in all_matrices(P11, 2)) == 9 * 4
     assert sum(1 for _ in all_offdiag(P11, 1)) == 4
     assert sum(1 for _ in all_offdiag(P21, 1)) == 64
+
+
+@pytest.mark.parametrize(
+    "p, bound",
+    [(P11, 1), (P11, 2), (P21, 1), (P21, 2), (P12, 1), (P12, 2), (P22, 1)],
+)
+def test_all_offdiag_keeps_the_order_of_all_matrices(p, bound):
+    # verify reports failures in this order.
+    assert list(all_offdiag(p, bound)) == [a for a in all_matrices(p, bound) if a.is_offdiag()]

@@ -59,3 +59,40 @@ def test_source_has_no_assert():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert found == []
+
+
+def _memo_tables(tree) -> list:
+    """Module-level names bound to a dict display or dict() call that is
+    empty or that the module stores into by subscript."""
+    stored = {
+        n.value.id
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)
+        and isinstance(n.value, ast.Name)
+    }
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets, value = stmt.targets, stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets, value = [stmt.target], stmt.value
+        else:
+            continue
+        if isinstance(value, ast.Dict):
+            empty = not value.keys
+        elif isinstance(value, ast.Call) and isinstance(value.func, ast.Name) and value.func.id == "dict":
+            empty = not value.args and not value.keywords
+        else:
+            continue
+        found += [t.id for t in targets if isinstance(t, ast.Name) and (empty or t.id in stored)]
+    return found
+
+
+def test_source_memoizes_with_functools_cache():
+    # A memo is a functools.cache, whose size cache_info() reports; the one
+    # dict cache left stores only successful expansions, keyed by the label.
+    found = []
+    for path in sorted(pathlib.Path(uglmn.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.stem}.{name}" for name in _memo_tables(tree)]
+    assert found == ["regular._EXPAND_CACHE"]
