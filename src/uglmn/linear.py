@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .qcoeff import VFunc, ZERO
+from .qcoeff import ONE, ZERO, VFunc
 
 
 class LinComb:
@@ -34,8 +34,6 @@ class LinComb:
     @classmethod
     def single(cls, key, coeff: VFunc = None) -> "LinComb":
         if coeff is None:
-            from .qcoeff import ONE
-
             coeff = ONE
         if coeff.is_zero():
             return cls._raw({})

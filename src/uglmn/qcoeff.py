@@ -1,27 +1,25 @@
 """Exact arithmetic in Q(v): sparse polynomials in v over the rationals,
 reduced rational functions, and the quantum combinatorics [i], [a]!, v_h.
 
-Everything is immutable after construction and kept in a canonical form.
-A VFunc stores v^s * n/d: an integer s and n, d in Q[v], both prime to v
-and to each other, d monic; zero is stored as (0, 0, 1).  The action only
-divides by v_h - v_h^-1 = (v^2 - 1)/v and by [a]!, so the powers of v that
-every coefficient carries stay in s and never enter a polynomial gcd.  The
-properties .num and .den give the same value as one reduced fraction with
-monic denominator; text and JSON print from them.
-
-The constructor runs a full polynomial gcd.  Arithmetic on canonical
-operands skips it by two rules, both applied in _reduce:
-- a one-term n or d is a constant, so it shares no factor with anything
-  (and two equal polynomials are their own gcd);
-- a product cross-reduces n1 against d2 and n2 against d1, and a sum
-  reduces only by gcd(t, g) with g = gcd(d1, d2), t = n1 d2/g + n2 d1/g
-  (Henrici's addition).
+Everything is immutable and kept in one canonical form.  A VFunc is
+v^s * n/d with n, d in Q[v] prime to v and to each other, d monic, and zero
+stored as (0, 0, 1).  The action divides only by v_h - v_h^-1 = v^-1 Phi_1 Phi_2
+and by [a]!, both v-powers times products of cyclotomic polynomials Phi_k
+(Phi_1 = v - 1, Phi_2 = v + 1, Phi_4 = v^2 + 1, ...).  So d is stored as the
+sorted pairs (k, e) of d = prod Phi_k^e, and .d, .num and .den expand it.  A
+product adds the exponents and a sum takes their elementwise max; each
+cancels only by exact trial division by the Phi_k present, and never runs
+Euclid.  VFunc(num, den), from_json and inv reduce by one gcd and then
+factor the monic denominator over the Phi_k; one that does not factor
+completely is kept as a VPoly, and any operation with such an operand goes
+through that constructor.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
 
 
@@ -80,10 +78,6 @@ class VPoly:
 
     def is_zero(self) -> bool:
         return not self.c
-
-    def degree(self) -> int:
-        """Max exponent; -1 for the zero polynomial."""
-        return max(self.c) if self.c else -1
 
     def valuation(self) -> int:
         """Min exponent; 0 for the zero polynomial."""
@@ -144,7 +138,7 @@ class VPoly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return _P_ZERO, _P_ZERO
-        db = other.degree()
+        db = max(other.c)
         lb = other.c[db]
         rem = dict(self.c)
         quo = {}
@@ -162,24 +156,12 @@ class VPoly:
             dr = max(rem) if rem else -1
         return VPoly._raw(quo), VPoly._raw(rem)
 
-    def div_exact(self, other: "VPoly") -> "VPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
-
-    def monic(self) -> "VPoly":
-        lc = self.leading_coeff()
-        if lc in (0, 1):
-            return self
-        return VPoly._raw({e: _div_coeff(c, lc) for e, c in self.c.items()})
-
     def gcd(self, other: "VPoly") -> "VPoly":
         """Monic gcd over Q by Euclid; gcd(0, p) = monic p."""
         a, b = self, other
         while b.c:
             a, b = b, a.divmod(b)[1]
-        return a.monic()
+        return _scaled(a, a.leading_coeff() or 1)
 
     def evaluate(self, q: Fraction) -> Fraction:
         return Fraction(sum(c * q**e for e, c in self.c.items()))
@@ -212,29 +194,125 @@ def _terms_text(c: dict, shift: int) -> str:
     return "".join(parts)
 
 
+def _scaled(p: VPoly, lc) -> VPoly:
+    """p divided by the nonzero constant lc."""
+    return p if lc == 1 else VPoly._raw({e: _div_coeff(c, lc) for e, c in p.c.items()})
+
+
 _P_ZERO = VPoly._raw({})
 _P_ONE = VPoly._raw({0: 1})
 
 
-def _monic_pair(num: VPoly, den: VPoly):
-    """(num, den) divided by the leading coefficient of den."""
-    lc = den.leading_coeff()
-    if lc == 1:
-        return num, den
-    return tuple(VPoly._raw({e: _div_coeff(c, lc) for e, c in p.c.items()}) for p in (num, den))
+def _prime_factors(k: int) -> list:
+    out, p = [], 2
+    while p * p <= k:
+        if k % p == 0:
+            out.append(p)
+            while k % p == 0:
+                k //= p
+        p += 1
+    return out + [k] if k > 1 else out
 
 
-def _reduce(a: VPoly, b: VPoly):
-    """(a/g, b/g, g) for g = gcd(a, b), where a and b are prime to v.  A
-    one-term side is then a constant and shares no factor, and equal sides
-    are their own gcd, so neither runs Euclid."""
-    if len(a.c) > 1 and len(b.c) > 1:
-        if a.c == b.c:
-            return _P_ONE, _P_ONE, a
-        g = a.gcd(b)
-        if g.c != _P_ONE.c:
-            return a.div_exact(g), b.div_exact(g), g
-    return a, b, _P_ONE
+@functools.cache
+def _cyclotomic(k: int) -> VPoly:
+    """Phi_k, from Phi_k(v) = Phi_q(v^p) if p^2 | k and Phi_q(v^p)/Phi_q(v)
+    otherwise, where p is the largest prime dividing k = pq."""
+    if k == 1:
+        return VPoly._raw({1: 1, 0: -1})
+    p = _prime_factors(k)[-1]
+    raised = VPoly._raw({e * p: c for e, c in _cyclotomic(k // p).c.items()})
+    return raised if k // p % p == 0 else _quotient(raised, k // p)
+
+
+def _quotient(p: VPoly, k: int):
+    """p / Phi_k if Phi_k divides p, else None.  Phi_k is monic with integer
+    coefficients, so the division divides no coefficient; Phi_1 and Phi_2 are
+    first tested by the sum and the alternating sum of the coefficients."""
+    c = p.c
+    if k == 1 and sum(c.values()) or k == 2 and sum(x if e % 2 == 0 else -x for e, x in c.items()):
+        return None
+    phi = _cyclotomic(k).c
+    deg, top = max(phi), max(c)
+    rem = [c.get(e, 0) for e in range(top + 1)]
+    quo = {}
+    for i in range(top - deg, -1, -1):
+        x = rem[i + deg]
+        if x:
+            quo[i] = x
+            for e, y in phi.items():
+                rem[i + e] -= x * y
+    return None if any(rem) else VPoly._raw(quo)
+
+
+def _cancel(n: VPoly, phi: tuple, ks=None) -> tuple:
+    """(n', phi') with n'/phi' = n/phi, after dividing n by each Phi_k with
+    k in ks (default: every k of phi) as often as phi allows."""
+    if len(n.c) == 1 or not phi or ks == ():
+        return n, phi
+    left = dict(phi)
+    for k in left if ks is None else ks:
+        while left[k] and (q := _quotient(n, k)) is not None:
+            n, left[k] = q, left[k] - 1
+    return n, tuple((k, e) for k, e in left.items() if e)
+
+
+@functools.cache
+def _phi_product(phi: tuple) -> VPoly:
+    """The product of Phi_k^e over the pairs (k, e) of phi."""
+    return math.prod((_cyclotomic(k) for k, e in phi for _ in range(e)), start=_P_ONE)
+
+
+def _k_limit(top: int) -> Fraction:
+    """A bound on every k with phi(k) <= top.  If r primes divide k, then
+    phi(k) >= (2 - 1)(3 - 1)...(p_r - 1) and k/phi(k) <= 2/1 * 3/2 * ...
+    * p_r/(p_r - 1), over the first r primes p_1 = 2, 3, ..., p_r."""
+    limit, rest, p = Fraction(top), top, 2
+    while p - 1 <= rest:
+        if _prime_factors(p) == [p]:
+            rest, limit = rest // (p - 1), limit * p / (p - 1)
+        p += 1
+    return limit
+
+
+def _phi_exponents(d: VPoly):
+    """The sorted pairs (k, e) with d = prod Phi_k^e, or None when d (monic,
+    prime to v) is no such product.  Such a product has integer
+    coefficients, constant term +-1, and is its own reverse up to that sign;
+    only the Phi_k with phi(k) at most the degree still left are tried."""
+    c = d.c
+    top, sign = max(c), c[0]
+    if abs(sign) != 1 or any(type(x) is not int or c.get(top - e) != sign * x for e, x in c.items()):
+        return None
+    phi, k, limit = [], 0, _k_limit(top)
+    while top:
+        k += 1
+        if k > limit:
+            return None
+        ps = _prime_factors(k)
+        if k // math.prod(ps) * math.prod(p - 1 for p in ps) > top:
+            continue
+        e = 0
+        while (q := _quotient(d, k)) is not None:
+            d, e = q, e + 1
+        if e:
+            phi.append((k, e))
+            limit = _k_limit(top := max(d.c))
+    return tuple(phi)
+
+
+@functools.cache
+def _phi_pair(a: tuple, b: tuple) -> tuple:
+    """For the denominators a and b: the pairs of their product and of their
+    lcm, the factor each side is missing from the lcm, and the k with one
+    exponent on both sides, the only Phi_k that can divide a sum over the lcm."""
+    ca, cb = Counter(dict(a)), Counter(dict(b))
+    lcm = ca | cb
+    return (
+        tuple(sorted((ca + cb).items())), tuple(sorted(lcm.items())),
+        _phi_product(tuple(sorted((lcm - ca).items()))), _phi_product(tuple(sorted((lcm - cb).items()))),
+        tuple(k for k, e in a if cb[k] == e),
+    )
 
 
 class VFunc:
@@ -246,29 +324,41 @@ class VFunc:
     (-1, 'v^2 + 1', '1')
     >>> x.text(), x.den.text()
     ('v + v^-1', 'v')
+    >>> y = x.inv()
+    >>> y.phi, y.d.text(), y.text()
+    (((4, 1),), 'v^2 + 1', '(v)/(v^2 + 1)')
     """
 
-    __slots__ = ("s", "n", "d")
+    __slots__ = ("s", "n", "phi")
 
     def __init__(self, num: VPoly, den: VPoly):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            self.s, self.n, self.d = 0, _P_ZERO, _P_ONE
+            self.s, self.n, self.phi = 0, _P_ZERO, ()
             return
         vn, vd = num.valuation(), den.valuation()
-        n, d, _ = _reduce(num.shift(-vn), den.shift(-vd))
-        self.s = vn - vd
-        self.n, self.d = _monic_pair(n, d)
+        n, d = num.shift(-vn), den.shift(-vd)
+        if len(n.c) > 1 and len(d.c) > 1:
+            # A one-term side is a constant and shares no factor.
+            g = n.gcd(d)
+            n, d = n.divmod(g)[0], d.divmod(g)[0]
+        lc = d.leading_coeff()
+        n, d = _scaled(n, lc), _scaled(d, lc)
+        phi = _phi_exponents(d)
+        self.s, self.n, self.phi = vn - vd, n, d if phi is None else phi
 
     @classmethod
-    def _raw(cls, s: int, n: VPoly, d: VPoly) -> "VFunc":
-        # Trusted constructor: (s, n, d) already canonical.
+    def _raw(cls, s: int, n: VPoly, phi) -> "VFunc":
+        # Trusted constructor: (s, n, phi) already canonical.
         f = object.__new__(cls)
-        f.s = s
-        f.n = n
-        f.d = d
+        f.s, f.n, f.phi = s, n, phi
         return f
+
+    @property
+    def d(self) -> VPoly:
+        phi = self.phi
+        return _phi_product(phi) if type(phi) is tuple else phi
 
     @property
     def num(self) -> VPoly:
@@ -283,13 +373,13 @@ class VFunc:
         c = _coerce(k)
         if not c:
             return ZERO
-        return cls._raw(0, VPoly._raw({0: c}), _P_ONE)
+        return cls._raw(0, VPoly._raw({0: c}), ())
 
     @staticmethod
     @functools.cache
     def v_power(e: int) -> "VFunc":
         """The Laurent monomial v^e (e may be negative)."""
-        return VFunc._raw(e, _P_ONE, _P_ONE)
+        return VFunc._raw(e, _P_ONE, ())
 
     @classmethod
     def laurent(cls, coeffs: dict) -> "VFunc":
@@ -299,7 +389,7 @@ class VFunc:
         if p.is_zero():
             return ZERO
         k = p.valuation()
-        return cls._raw(lo + k, p.shift(-k), _P_ONE)
+        return cls._raw(lo + k, p.shift(-k), ())
 
     def is_zero(self) -> bool:
         return not self.n.c
@@ -312,28 +402,29 @@ class VFunc:
             return True
         if not isinstance(other, VFunc):
             return NotImplemented
-        return self.s == other.s and self.n.c == other.n.c and self.d.c == other.d.c
+        return self.s == other.s and self.n.c == other.n.c and self.phi == other.phi
 
     def __add__(self, other: "VFunc") -> "VFunc":
-        # Henrici: t = n1 (d2/g) + n2 (d1/g), g = gcd(d1, d2), is prime to d1/g
-        # and d2/g, so only gcd(t, g) can cancel.  A factor v^k of t moves to s.
+        a, b = self.phi, other.phi
+        if type(a) is not tuple or type(b) is not tuple:
+            return VFunc(self.num * other.den + other.num * self.den, self.den * other.den)
         s = min(self.s, other.s)
         n1 = self.n.shift(self.s - s) if self.s != s else self.n
         n2 = other.n.shift(other.s - s) if other.s != s else other.n
-        e1, e2, g = _reduce(self.d, other.d)
-        t = n1 * e2 + n2 * e1
+        if a == b:
+            t, phi, ks = n1 + n2, a, None
+        else:
+            _, phi, miss1, miss2, ks = _phi_pair(a, b)
+            t = n1 * miss1 + n2 * miss2
         if not t.c:
             return ZERO
         k = t.valuation()
         if k:
             t = t.shift(-k)
-        t, g, _ = _reduce(t, g)
-        return VFunc._raw(s + k, t, e1 * e2 * g)
+        return VFunc._raw(s + k, *_cancel(t, phi, ks))
 
     def __neg__(self) -> "VFunc":
-        if not self.n.c:
-            return self
-        return VFunc._raw(self.s, -self.n, self.d)
+        return VFunc._raw(self.s, -self.n, self.phi)
 
     def __sub__(self, other: "VFunc") -> "VFunc":
         return self + (-other)
@@ -341,22 +432,25 @@ class VFunc:
     def __mul__(self, other: "VFunc") -> "VFunc":
         if not self.n.c or not other.n.c:
             return ZERO
-        # Cross-reduce before multiplying out; then no factor is shared.
-        n1, d2, _ = _reduce(self.n, other.d)
-        n2, d1, _ = _reduce(other.n, self.d)
-        return VFunc._raw(self.s + other.s, n1 * n2, d1 * d2)
+        a, b = self.phi, other.phi
+        if type(a) is not tuple or type(b) is not tuple:
+            return VFunc(self.num * other.num, self.den * other.den)
+        # Cross-cancel before multiplying out; then no factor is shared.
+        n1, b = _cancel(self.n, b) if b else (self.n, b)
+        n2, a = _cancel(other.n, a) if a else (other.n, a)
+        return VFunc._raw(self.s + other.s, n1 * n2, _phi_pair(a, b)[0] if a and b else a or b)
 
     def inv(self) -> "VFunc":
         if not self.n.c:
             raise ZeroDivisionError("inverse of the zero rational function")
-        return VFunc._raw(-self.s, *_monic_pair(self.d, self.n))
+        return VFunc(self.den, self.num)
 
     def __truediv__(self, other: "VFunc") -> "VFunc":
         return self * other.inv()
 
     def as_unit_monomial(self):
         """If self = +-v^c, return (+-1, c); else None."""
-        if len(self.d.c) == 1 and self.n.c in ({0: 1}, {0: -1}):
+        if self.phi == () and self.n.c in ({0: 1}, {0: -1}):
             return (int(self.n.c[0]), self.s)
         return None
 
@@ -370,7 +464,7 @@ class VFunc:
         return Fraction(q) ** self.s * self.n.evaluate(q) / d
 
     def text(self) -> str:
-        if self.d.c == _P_ONE.c:
+        if self.phi == ():
             # A Laurent polynomial: v^s n term by term.
             return _terms_text(self.n.c, -self.s) if self.n.c else "0"
         return f"({self.num.text()})/({self.den.text()})"
@@ -402,8 +496,8 @@ class VFunc:
         return cls(*sides)
 
 
-ZERO = VFunc._raw(0, _P_ZERO, _P_ONE)
-ONE = VFunc._raw(0, _P_ONE, _P_ONE)
+ZERO = VFunc._raw(0, _P_ZERO, ())
+ONE = VFunc._raw(0, _P_ONE, ())
 
 
 @functools.cache
@@ -435,6 +529,12 @@ def v_sub(h: int, e: int, m: int) -> VFunc:
 
 
 @functools.cache
-def v_gap(h: int, m: int) -> VFunc:
-    """v_h - v_h^{-1}."""
-    return v_sub(h, 1, m) - v_sub(h, -1, m)
+def quantum_factorial_inv(a: int) -> VFunc:
+    """1/[a]!."""
+    return quantum_factorial(a).inv()
+
+
+@functools.cache
+def v_gap_inv(h: int, m: int) -> VFunc:
+    """1/(v_h - v_h^{-1})."""
+    return (v_sub(h, 1, m) - v_sub(h, -1, m)).inv()

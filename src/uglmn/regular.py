@@ -20,7 +20,7 @@ from collections import namedtuple
 
 from .linear import LinComb, element_from_json
 from .polyaction import act_tensor
-from .qcoeff import VFunc, quantum_integer, v_gap, v_sub
+from .qcoeff import VFunc, quantum_integer, v_gap_inv, v_sub
 from .superindex import (
     Profile,
     SuperMatrix,
@@ -146,7 +146,7 @@ def act_letter(letter: GenLetter, b: SeriesBasis, signed: bool = False) -> LinCo
         # Emptying the (src, dst) slot turns the quantum bracket into a
         # difference of two twists divided by v_dst - v_dst^{-1}.
         target = a.shift(((src, dst, -1),))
-        c = v_sub(dst, stat(h, dst, a) - j[dst - 1], m) / v_gap(dst, m)
+        c = v_sub(dst, stat(h, dst, a) - j[dst - 1], m) * v_gap_inv(dst, m)
         twisted = twisted or _shift_j(_shift_j(j, dst, 1), src, -1)
         put(target, dst, c, twisted)
         put(target, dst, -c, _shift_j(_shift_j(j, h, -1), h + 1, -1))
@@ -172,11 +172,13 @@ def truncate(b: SeriesBasis, level: int) -> LinComb:
     if level < 0:
         raise ValueError("truncation level must be >= 0")
     p = b.profile
-    return LinComb._raw({
-        b.mat.add_diag(lam): VFunc.v_power(super_dot(lam, b.j, p))
-        for lam in itertools.product(range(level + 1), repeat=p.size)
-        if sum(lam) <= level
-    })
+    # Each lam is p.size bars among level + p.size slots: lam_i counts the
+    # free slots just before bar i, and those after the last bar are slack.
+    lams = (
+        tuple(y - x - 1 for x, y in zip((-1,) + bars, bars))
+        for bars in itertools.combinations(range(level + p.size), p.size)
+    )
+    return LinComb._raw({b.mat.add_diag(lam): VFunc.v_power(super_dot(lam, b.j, p)) for lam in lams})
 
 
 def truncate_element(x: LinComb, level: int) -> LinComb:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .linear import LinComb
 from .polyaction import ZERO_ONE, DividedMonomial, act_factor, act_tensor
-from .qcoeff import ONE, VFunc, v_gap
+from .qcoeff import ONE, VFunc, v_gap_inv
 from .regular import SeriesBasis, act_letter
 from .superindex import (
     Profile,
@@ -127,7 +127,7 @@ def relations_for(p: Profile) -> list:
             sign = ONE if a == b == m else -ONE
             terms = {(e_letter(a), f_letter(b)): ONE, (f_letter(b), e_letter(a)): sign}
             if a == b:
-                inv = v_gap(a, m).inv()
+                inv = v_gap_inv(a, m)
                 terms[(k_letter(a, 1), k_letter(a + 1, -1))] = -inv
                 terms[(k_letter(a, -1), k_letter(a + 1, 1))] = inv
             add(f"QG3({a},{b})", terms)

@@ -12,7 +12,7 @@ import re
 from collections import namedtuple
 
 from .linear import LinComb
-from .qcoeff import quantum_factorial
+from .qcoeff import quantum_factorial_inv
 
 E, F, K = "E", "F", "K"
 
@@ -91,5 +91,5 @@ def apply_word(word: Word, x: LinComb, act) -> LinComb:
                 x = x.bind(lambda key: act(single, key))
                 if x.is_zero():
                     return x
-            x = x.scale(quantum_factorial(letter.power).inv())
+            x = x.scale(quantum_factorial_inv(letter.power))
     return x

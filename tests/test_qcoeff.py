@@ -2,8 +2,10 @@
 
 import doctest
 import inspect
+import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -365,3 +367,100 @@ def test_vfunc_against_sympy_cancel():
             assert sympy.Poly(den, q).LC() == 1
 
     check()
+
+
+def test_hot_path_runs_no_euclid(monkeypatch):
+    # Every denominator the action computes is a v-power times a product of
+    # cyclotomic polynomials, so relations, truncations and products never
+    # run a polynomial gcd.
+    from uglmn import regular
+    from uglmn.linear import LinComb
+    from uglmn.relcheck import full_suite, series_handle
+    from uglmn.suites import series_truncation_agreement
+    from uglmn.superindex import Profile, SuperMatrix
+
+    calls = []
+    gcd = VPoly.gcd
+
+    def counted(self, other):
+        calls.append((self, other))
+        return gcd(self, other)
+
+    monkeypatch.setattr(VPoly, "gcd", counted)
+    monkeypatch.setattr(regular, "_EXPAND_CACHE", {})
+    p21 = Profile(2, 1)
+    assert full_suite(series_handle(p21, 1, [(0, 1, -1), (1, -1, 0), (-1, 0, 1)])).all_pass
+    assert series_truncation_agreement(Profile(1, 1), 1, [(0, 0), (1, -1)], 3, threads=1).all_pass
+    left = [((0, 1, 1), (0, 0, 0), (1, 1, 0)), ((0, 1, 0), (1, 0, 1), (0, 1, 0))]
+    right = [((0, 0, 1), (1, 0, 0), (0, 1, 0)), ((0, 1, 1), (0, 0, 0), (0, 0, 0))]
+    for a, b in zip(left, right):
+        x = LinComb({regular.SeriesBasis(SuperMatrix(p21, a), (1, 0, -1)): v(1) + v(-1)})
+        y = LinComb({regular.SeriesBasis(SuperMatrix(p21, b), (0, 2, 0)): v(-2)})
+        assert not regular.multiply(x, y).is_zero()
+    assert calls == []
+
+
+def _same_stored_form(x: VFunc) -> None:
+    assert VFunc.from_json(x.to_json()) == x
+    assert VFunc(x.num, x.den) == x
+
+
+def test_computed_and_constructed_values_share_one_stored_form():
+    gaps = [(v(1) - v(-1)).inv(), (v(-1) - v(1)).inv()]
+    facts = [quantum_factorial(a).inv() for a in range(9)]
+    assert gaps[0].phi == ((1, 1), (2, 1)) and gaps[0].d.c == {2: 1, 0: -1}
+    assert facts[3].phi == ((3, 1), (4, 1), (6, 1))  # [2] = v^-1 Phi_4, [3] = v^-2 Phi_3 Phi_6
+    for x in gaps + facts:
+        _same_stored_form(x)
+    rng = random.Random(20261019)
+    for _ in range(200):
+        laurent = VFunc.laurent({rng.randint(-3, 3): rng.choice(_SCALARS) for _ in range(rng.randint(1, 3))})
+        x, y = rng.choice(gaps + facts), rng.choice(gaps + facts)
+        _same_stored_form(x + laurent * y if rng.random() < 0.5 else x * y * laurent)
+
+
+def test_general_denominator_agrees_with_sympy():
+    # Phi_3 (v + 3) is no product of cyclotomic polynomials, so it stays a
+    # VPoly, and arithmetic with it goes through the gcd constructor.
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("v")
+
+    def to_sympy(p: VPoly):
+        return sum((sympy.Rational(c) * q**e for e, c in p.c.items()), sympy.Integer(0))
+
+    d = VPoly({2: 1, 1: 1, 0: 1}) * VPoly({1: 1, 0: 3})
+    x = VFunc(VPoly({1: 2, 0: -1}), d)
+    assert isinstance(x.phi, VPoly) and x.d == d
+    xs = to_sympy(x.num) / to_sympy(x.den)
+    others = [(v(1) - v(-1)).inv(), quantum_factorial(3).inv(), v(2), VFunc(VPoly({1: 1, 0: 3}), VPoly({2: 1, 0: 1}))]
+    for y in others:
+        ys = to_sympy(y.num) / to_sympy(y.den)
+        cases = ((x + y, xs + ys), (x * y, xs * ys), (x / y, xs / ys), (y / x, ys / xs), (x.inv(), 1 / xs))
+        for got, expr in cases:
+            p, den = sympy.fraction(sympy.cancel(expr))
+            gn, gd = to_sympy(got.num), to_sympy(got.den)
+            assert sympy.expand(gn * den - gd * p) == 0
+            assert sympy.gcd(gn, gd).is_number and sympy.Poly(gd, q).LC() == 1
+            _same_stored_form(got)
+
+
+def test_large_json_denominators_classify_quickly():
+    start = time.perf_counter()
+    # Phi_97 Phi_3 has degree 98, and the JSON path factors it completely.
+    phi97 = VFunc.laurent({e: 1 for e in range(97)})
+    phi3 = VFunc.laurent({0: 1, 1: 1, 2: 1})
+    den = (phi97 * phi3).n
+    x = VFunc.from_json({"num": {"0": "1"}, "den": {str(e): str(c) for e, c in den.c.items()}})
+    assert x == (phi97 * phi3).inv()
+    assert x.phi == ((3, 1), (97, 1))
+    # v^100 + v + 1 is no such product and stays general, through the CLI too.
+    from uglmn.cli import main
+
+    term = {
+        "coeff": {"num": {"0": "1"}, "den": {"100": "1", "1": "1", "0": "1"}},
+        "A": {"m": 1, "n": 1, "entries": [[0, 0], [0, 0]]},
+        "j": [0, 0],
+    }
+    argv = ["act", "--m", "1", "--n", "1", "--space", "series", "--gen", "E1", "--input", json.dumps([term])]
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 10
