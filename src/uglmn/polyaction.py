@@ -76,15 +76,20 @@ class DividedMonomial(namedtuple("DividedMonomial", "profile flavor exps")):
 
 @functools.cache
 def _coeff(h: int, exp: int, m: int, bracket: int, neg: bool) -> VFunc:
-    """(+-) v_h^exp [bracket]."""
-    c = v_sub(h, exp, m) * quantum_integer(bracket)
+    """(+-) v_h^exp [bracket]; for [1] the memoized v_h^exp itself, which
+    the coproduct route's _move_coeff shares."""
+    c = v_sub(h, exp, m)
+    if bracket != 1:
+        c = c * quantum_integer(bracket)
     return -c if neg else c
 
 
 @functools.cache
 def _move_coeff(bracket: int, exp: int, neg: bool) -> VFunc:
-    """(+-) [bracket] v^exp."""
-    c = quantum_integer(bracket) * VFunc.v_power(exp)
+    """(+-) [bracket] v^exp; for [1] the memoized v^exp itself."""
+    c = VFunc.v_power(exp)
+    if bracket != 1:
+        c = quantum_integer(bracket) * c
     return -c if neg else c
 
 

@@ -15,6 +15,7 @@ on the window the truncation determines.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
 
@@ -166,38 +167,71 @@ def act_word(word: Word, x: LinComb) -> LinComb:
     return apply_word(word, x, act_letter)
 
 
+@functools.cache
+def _diag_shifts(size: int, level: int) -> tuple:
+    """Every lam in N^size with |lam| <= level."""
+    # Each lam is size bars among level + size slots: lam_i counts the free
+    # slots just before bar i, and those after the last bar are slack.
+    return tuple(
+        tuple(y - x - 1 for x, y in zip((-1,) + bars, bars))
+        for bars in itertools.combinations(range(level + size), size)
+    )
+
+
 def truncate(b: SeriesBasis, level: int) -> LinComb:
     """Finite witness of a label: sum over |lam| <= level of
-    v^(lam * j) X^[A + diag(lam)]."""
+    v^(lam * j) X^[A + diag(lam)].  Only the weights depend on the twist j,
+    so the monomials, and their images under a generator, are shared by
+    every twist of one matrix (see truncation_mismatches)."""
     if level < 0:
         raise ValueError("truncation level must be >= 0")
     p = b.profile
-    # Each lam is p.size bars among level + p.size slots: lam_i counts the
-    # free slots just before bar i, and those after the last bar are slack.
-    lams = (
-        tuple(y - x - 1 for x, y in zip((-1,) + bars, bars))
-        for bars in itertools.combinations(range(level + p.size), p.size)
+    return LinComb._raw(
+        {b.mat.add_diag(lam): VFunc.v_power(super_dot(lam, b.j, p)) for lam in _diag_shifts(p.size, level)}
     )
-    return LinComb._raw({b.mat.add_diag(lam): VFunc.v_power(super_dot(lam, b.j, p)) for lam in lams})
 
 
 def truncate_element(x: LinComb, level: int) -> LinComb:
     return x.bind(lambda b: truncate(b, level))
 
 
-def compare_truncated(letter: GenLetter, b: SeriesBasis, level: int) -> bool:
-    """Check the explicit action of one generator on one label against the
-    tensor action of the truncated series.  One generator application moves
-    the diagonal level by at most one, so the two sides are both complete on
-    monomials of level <= level - 1; they must agree there exactly.
+def truncation_mismatches(mat: SuperMatrix, twists, letters, level: int) -> list:
+    """The (twist, letter) pairs, in that order, where the explicit action
+    of the letter on the label (mat, twist) disagrees with the tensor action
+    of the truncated series.  One generator application moves the diagonal
+    level by at most one, so the two sides are both complete on monomials
+    of level <= level - 1; they must agree there exactly.
+
+    The tensor side acts on each monomial mat + diag(lam) once per letter,
+    keeps the images inside that window, and reweights them by
+    v^(lam * twist) for every twist; it never calls act_letter, and the
+    label side never calls act_tensor.
     """
     if level < 1:
         raise ValueError("comparison needs level >= 1")
     window = level - 1
-    lhs = truncate(b, level).bind(lambda mat: act_tensor(letter, mat))
-    lhs = lhs.filter_keys(lambda mat: mat.diag_total() <= window)
-    # Label matrices are diagonal-free, so truncating at the window is exact.
-    return lhs == truncate_element(act_letter(letter, b), window)
+    monomials = [mat.add_diag(lam) for lam in _diag_shifts(mat.profile.size, level)]
+    images = [
+        {x: act_tensor(letter, x).filter_keys(lambda y: y.diag_total() <= window) for x in monomials}
+        for letter in letters
+    ]
+    out = []
+    for j in twists:
+        b = SeriesBasis(mat, j)
+        series = truncate(b, level)
+        for letter, image in zip(letters, images):
+            # Label matrices are diagonal-free, so truncating at the window
+            # is exact.
+            if series.bind(image.__getitem__) != truncate_element(act_letter(letter, b), window):
+                out.append((j, letter))
+    return out
+
+
+def compare_truncated(letter: GenLetter, b: SeriesBasis, level: int) -> bool:
+    """Check the explicit action of one generator on one label against the
+    tensor action of the truncated series: truncation_mismatches on one
+    twist and one letter."""
+    return not truncation_mismatches(b.mat, (b.j,), (letter,), level)
 
 
 def monomial_word(mat: SuperMatrix, j) -> Word:

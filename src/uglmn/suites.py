@@ -19,7 +19,7 @@ from .polyaction import (
     act_tensor_coproduct,
     column_monomials,
 )
-from .regular import SeriesBasis, compare_truncated
+from .regular import truncation_mismatches
 from .relcheck import factor_handle, full_suite, series_handle, tensor_handle
 from .superindex import Profile, all_matrices, all_offdiag
 from .words import e, f, k
@@ -82,12 +82,10 @@ def _check_tensor(a, letters) -> tuple:
 
 def _check_series(a, letters, j_values, level) -> tuple:
     """Label actions against truncated series on one matrix, every twist."""
-    failures = []
-    for j in j_values:
-        b = SeriesBasis(a, j)
-        for letter in letters:
-            if not compare_truncated(letter, b, level):
-                failures.append({"generator": letter.text(), "A": a.to_json(), "j": list(j)})
+    failures = [
+        {"generator": letter.text(), "A": a.to_json(), "j": list(j)}
+        for j, letter in truncation_mismatches(a, j_values, letters, level)
+    ]
     return len(j_values), failures
 
 

@@ -1,10 +1,13 @@
 """Agreement grids: shards partition the grid, build only their own matrices,
 the sharded runner gives the same report as one process and starts at most
 one worker per CPU, an empty grid does not pass, and a lost action term is
-caught.  Relations and truncations on a
-fixed sample of (2,2) labels, where the super Serre relations apply."""
+caught.  The batched truncation grid rejects exactly the (matrix, twist,
+letter) triples that the per-pair check rejects.  Relations and truncations
+on a fixed sample of (2,2) labels, where the super Serre relations apply,
+and on the complete (3,0) and (0,3) grids."""
 
 import concurrent.futures
+import itertools
 import json
 import math
 import os
@@ -25,12 +28,18 @@ from uglmn.relcheck import (
     relations_for,
     series_handle,
 )
-from uglmn.suites import generator_letters, series_truncation_agreement, tensor_agreement
+from uglmn.suites import (
+    default_j_values,
+    generator_letters,
+    series_truncation_agreement,
+    tensor_agreement,
+)
 from uglmn.superindex import Profile, SuperMatrix, all_matrices, all_offdiag
 from uglmn.words import E
 
 P11 = Profile(1, 1)
 P21 = Profile(2, 1)
+P12 = Profile(1, 2)
 P22 = Profile(2, 2)
 
 
@@ -108,13 +117,74 @@ def _drop_one_term(act):
     return mutated
 
 
+def _flip_last_column(monkeypatch):
+    sigma = regular.sigma
+    monkeypatch.setattr(regular, "sigma", lambda col, a: sigma(col, a) + (col == a.profile.size))
+
+
+def _lose_a_label_term(monkeypatch):
+    monkeypatch.setattr(regular, "act_letter", _drop_one_term(regular.act_letter))
+
+
 def test_series_grid_catches_a_lost_label_term(monkeypatch):
     twists = [(0, 0), (1, -1), (-1, 1)]
     assert series_truncation_agreement(P11, 1, twists, 3, threads=1).all_pass
-    monkeypatch.setattr(regular, "act_letter", _drop_one_term(regular.act_letter))
+    _lose_a_label_term(monkeypatch)
     report = series_truncation_agreement(P11, 1, twists, 3, threads=1)
     assert report.checked == 12
     assert report.failures
+
+
+def _reference_failures(p, bound, twists, level):
+    """The truncation grid's failures, checked one (matrix, twist, letter)
+    triple at a time: act on every monomial of the label's truncation and
+    keep the window, with no image shared between twists or letters."""
+    failures = []
+    for a in all_offdiag(p, bound):
+        for j in twists:
+            b = SeriesBasis(a, j)
+            for letter in generator_letters(p):
+                lhs = regular.truncate(b, level).bind(lambda mat: regular.act_tensor(letter, mat))
+                lhs = lhs.filter_keys(lambda mat: mat.diag_total() <= level - 1)
+                rhs = regular.truncate_element(regular.act_letter(letter, b), level - 1)
+                if lhs != rhs:
+                    failures.append({"generator": letter.text(), "A": a.to_json(), "j": list(j)})
+    return failures
+
+
+@pytest.mark.parametrize("plant", [_flip_last_column, _lose_a_label_term])
+def test_series_grid_rejects_what_the_per_pair_check_rejects(monkeypatch, plant):
+    twists = [(0, 0, 0), (1, -1, 0), (-1, 1, 1)]
+    plant(monkeypatch)
+    expected = _reference_failures(P21, 1, twists, 3)
+    assert len(expected) > 10  # to_json lists only the first ten
+    for threads in (1, 2):
+        report = series_truncation_agreement(P21, 1, twists, 3, threads=threads)
+        assert report.checked == 64 * len(twists)
+        assert report.failures == expected
+        assert report.to_json()["failures"] == expected[:10]
+
+
+def test_series_grid_12_every_twist():
+    # The complete (1,2) grid, entries <= 1, level 3, all of {-1,0,1}^3.
+    report = series_truncation_agreement(P12, 1, default_j_values(P12), 3, threads=1)
+    assert report.checked == 64 * 27
+    assert report.all_pass, report.failures
+
+
+@pytest.mark.parametrize("p", [Profile(3, 0), Profile(0, 3)], ids=["3|0", "0|3"])
+def test_series_suites_without_odd_generators(p):
+    twists = list(itertools.product((0, 1), repeat=3))
+    suite = full_suite(series_handle(p, 1, twists))
+    # With m = 0 or n = 0 only the four QG6 relations lack their generators.
+    skipped = [r.relation for r in suite.reports if r.status == NOT_APPLICABLE]
+    assert skipped == [
+        "QG6-square(E)", "QG6-square(F)", "QG6-serre(E)", "QG6-serre(F)"
+    ]
+    assert all(r.status == PASS for r in suite.reports if r.status != NOT_APPLICABLE)
+    report = series_truncation_agreement(p, 1, twists, 3, threads=1)
+    assert report.checked == 64 * len(twists)
+    assert report.all_pass, report.failures
 
 
 def test_tensor_grid_catches_a_lost_tensor_term(monkeypatch):
@@ -167,8 +237,7 @@ def test_truncation_on_a_22_sample(monkeypatch):
     assert failing() == []
     # One more sign flip in the last column is a change of basis: the
     # relations cannot see it, the truncated series can.
-    sigma = regular.sigma
-    monkeypatch.setattr(regular, "sigma", lambda col, a: sigma(col, a) + (col == a.profile.size))
+    _flip_last_column(monkeypatch)
     failures = failing()
     assert len(failures) == 49
     assert set(failures) == {"E2", "F2"}
