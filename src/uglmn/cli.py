@@ -38,7 +38,7 @@ from .regular import (
 )
 from .superindex import Profile, SuperMatrix, json_ints
 from .suites import run_factor_suites, run_series_suites, run_tensor_suites, thread_count
-from .words import K, apply_word, word_from_text, word_text
+from .words import apply_word, check_index, word_from_text, word_text
 
 FLAVORS = {"01": ZERO_ONE, "10": ONE_ZERO}
 # Each --space: its single-letter action, its input codec (called with the
@@ -84,6 +84,8 @@ def parse_matrix(text: str, p: Profile) -> SuperMatrix:
             mat = SuperMatrix.from_json(obj)
         except TypeError as exc:
             raise InputError(f"malformed matrix {text!r}: {exc}") from exc
+        except KeyError as exc:
+            raise InputError(f"matrix {text!r} is missing the field {exc}") from exc
         if mat.profile != p:
             raise InputError(
                 f"matrix profile {mat.profile.m}|{mat.profile.n} does not match --m/--n"
@@ -96,18 +98,15 @@ def parse_matrix(text: str, p: Profile) -> SuperMatrix:
     return SuperMatrix(p, rows)
 
 
-def parse_vector(text: str, size: int) -> tuple:
+def parse_vector(text: str) -> tuple:
+    """Integers as 'a,b,c' or JSON; the key built from them checks the length."""
     src = _read_source(text)
     if src.startswith("["):
-        vals = json_ints(_load_json(src), f"vector {text!r}")
-    else:
-        try:
-            vals = [int(x) for x in src.split(",")]
-        except ValueError as exc:
-            raise InputError(f"cannot parse vector {text!r}: {exc}") from exc
-    if len(vals) != size:
-        raise InputError(f"vector {text!r} must have length {size}")
-    return tuple(int(x) for x in vals)
+        return json_ints(_load_json(src), f"vector {text!r}")
+    try:
+        return tuple(int(x) for x in src.split(","))
+    except ValueError as exc:
+        raise InputError(f"cannot parse vector {text!r}: {exc}") from exc
 
 
 def parse_generator(text: str, p: Profile):
@@ -115,11 +114,13 @@ def parse_generator(text: str, p: Profile):
     word = word_from_text(text)
     if len(word) != 1:
         raise InputError(f"expected a single generator token, got {text!r}")
-    letter = word[0]
-    top = p.size if letter.kind == K else p.size - 1
-    if letter.index > top:
-        raise InputError(f"generator {text!r} needs an index in 1..{top} at {p.m}|{p.n}")
-    return letter
+    check_index(word[0], p.size)
+    return word[0]
+
+
+def parse_label(args, p: Profile) -> SeriesBasis:
+    """The basis label (A, j) given by --A and --j."""
+    return SeriesBasis(parse_matrix(args.A, p), parse_vector(args.j))
 
 
 def parse_element(text: str, space: str, p: Profile, flavor: str) -> LinComb:
@@ -154,35 +155,29 @@ def cmd_multiply(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    p = Profile(args.m, args.n)
-    mat = parse_matrix(args.A, p)
-    j = parse_vector(args.j, p.size)
+    b = parse_label(args, Profile(args.m, args.n))
     out = [
-        {"coeff": c.to_json(), "word": word_text(w)} for c, w in expand_as_words(mat, j)
+        {"coeff": c.to_json(), "word": word_text(w)} for c, w in expand_as_words(b.mat, b.j)
     ]
     _emit(out)
     return 0
 
 
 def cmd_truncate(args) -> int:
-    p = Profile(args.m, args.n)
-    mat = parse_matrix(args.A, p)
-    j = parse_vector(args.j, p.size)
-    _emit(tensor_element_to_json(truncate(SeriesBasis(mat, j), args.L)))
+    _emit(tensor_element_to_json(truncate(parse_label(args, Profile(args.m, args.n)), args.L)))
     return 0
 
 
 def cmd_oracle_compare(args) -> int:
     p = Profile(args.m, args.n)
     letter = parse_generator(args.gen, p)
-    mat = parse_matrix(args.A, p)
-    j = parse_vector(args.j, p.size)
-    ok = compare_truncated(letter, SeriesBasis(mat, j), args.L)
+    b = parse_label(args, p)
+    ok = compare_truncated(letter, b, args.L)
     _emit(
         {
             "generator": letter.text(),
-            "A": mat.to_json(),
-            "j": list(j),
+            "A": b.mat.to_json(),
+            "j": list(b.j),
             "level": args.L,
             "pass": ok,
         }
@@ -209,7 +204,7 @@ def cmd_verify(args) -> int:
 
 def cmd_highest_weight(args) -> int:
     p = Profile(args.m, args.n)
-    a = parse_vector(args.a, p.size)
+    a = parse_vector(args.a)
     word = highest_weight_word(args.r, a, p)
     top = DividedMonomial(p, ZERO_ONE, (args.r,) + (0,) * (p.size - 1))
     res = act_word_factor(word, LinComb.single(top))
@@ -228,6 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--m", type=int, required=True, help="even block size")
         sp.add_argument("--n", type=int, required=True, help="odd block size")
 
+    def label(sp):
+        sp.add_argument("--A", required=True, help="matrix: '0,1;1,0', JSON, or file")
+        sp.add_argument("--j", required=True, help="twist vector: '0,0', JSON, or file")
+
     sp = sub.add_parser("act", help="apply one generator to an element")
     common(sp)
     sp.add_argument("--space", choices=list(SPACES), default="series")
@@ -244,14 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("expand", help="expand a basis label into generator words")
     common(sp)
-    sp.add_argument("--A", required=True, help="matrix: '0,1;1,0', JSON, or file")
-    sp.add_argument("--j", required=True, help="twist vector: '0,0', JSON, or file")
+    label(sp)
     sp.set_defaults(fn=cmd_expand)
 
     sp = sub.add_parser("truncate", help="finite witness of a basis label")
     common(sp)
-    sp.add_argument("--A", required=True)
-    sp.add_argument("--j", required=True)
+    label(sp)
     sp.add_argument("--L", type=int, required=True, help="diagonal level bound")
     sp.set_defaults(fn=cmd_truncate)
 
@@ -260,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(sp)
     sp.add_argument("--gen", required=True)
-    sp.add_argument("--A", required=True)
-    sp.add_argument("--j", required=True)
+    label(sp)
     sp.add_argument("--L", type=int, default=3)
     sp.set_defaults(fn=cmd_oracle_compare)
 

@@ -122,6 +122,8 @@ def element_from_json(obj, parse_key) -> LinComb:
             coeff = VFunc.from_json(t["coeff"])
         except TypeError as exc:
             raise ValueError(f"malformed element term {t!r}: {exc}") from exc
+        except KeyError as exc:
+            raise ValueError(f"element term {t!r} is missing the field {exc}") from exc
         if key in terms:
             raise ValueError(f"duplicate term {key!r} in element")
         terms[key] = coeff

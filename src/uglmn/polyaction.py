@@ -27,11 +27,16 @@ from collections import namedtuple
 from .linear import LinComb, element_from_json
 from .qcoeff import VFunc, quantum_integer, v_sub
 from .superindex import Profile, SuperMatrix, f_stat, g_stat, json_ints, sigma
-from .words import E, K, GenLetter, Word, apply_word
+from .words import E, K, GenLetter, Word, apply_word, check_index
 from .words import f as f_letter
 
 ZERO_ONE = "0|1"
 ONE_ZERO = "1|0"
+
+
+def odd_slot(profile: Profile, flavor: str, i: int) -> bool:
+    """True when the 1-based slot i is an odd variable of the flavor."""
+    return i > profile.m if flavor == ZERO_ONE else i <= profile.m
 
 
 class DividedMonomial(namedtuple("DividedMonomial", "profile flavor exps")):
@@ -45,22 +50,16 @@ class DividedMonomial(namedtuple("DividedMonomial", "profile flavor exps")):
         exps = tuple(int(x) for x in exps)
         if len(exps) != profile.size:
             raise ValueError(f"exponent vector must have length {profile.size}")
-        m = profile.m
-        for i, x in enumerate(exps):
+        for i, x in enumerate(exps, 1):
             if x < 0:
                 raise ValueError("exponents must be nonnegative")
-            odd_var = i >= m if flavor == ZERO_ONE else i < m
-            if odd_var and x > 1:
-                raise ValueError(f"odd slot {i + 1} carries exponent {x} > 1")
+            if x > 1 and odd_slot(profile, flavor, i):
+                raise ValueError(f"odd slot {i} carries exponent {x} > 1")
         return tuple.__new__(cls, (profile, flavor, exps))
 
     @classmethod
     def _make(cls, profile, flavor, exps):
         return tuple.__new__(cls, (profile, flavor, exps))
-
-    def odd_slot(self, i: int) -> bool:
-        """True when the 1-based slot i is an odd variable."""
-        return (i > self.profile.m) if self.flavor == ZERO_ONE else (i <= self.profile.m)
 
     def degree(self) -> int:
         return sum(self.exps)
@@ -96,39 +95,30 @@ def _move_coeff(bracket: int, exp: int, neg: bool) -> VFunc:
 _EMPTY = LinComb._raw({})
 
 
-def _k_coeff(x: DividedMonomial, i: int, power: int) -> VFunc:
-    """Scalar by which K_i^power acts on one divided monomial: v_i^(power a_i)."""
-    size = x.profile.size
-    if not 1 <= i <= size:
-        raise IndexError(f"K index {i} out of range 1..{size}")
-    return v_sub(i, power * x.exps[i - 1], x.profile.m)
-
-
 def _ef_factor(x: DividedMonomial, kind: str, h: int):
     """One E_h/F_h move on a divided monomial: (target exponents, n) with
-    coefficient [n], or None."""
+    coefficient [n], or None; h must exist at the profile."""
     a = x.exps
-    size = x.profile.size
-    if not 1 <= h < size:
-        raise IndexError(f"generator index {h} out of range 1..{size - 1}")
     if kind == E:
         if a[h] == 0:
             return None
-        if a[h - 1] == 1 and x.odd_slot(h):
+        if a[h - 1] == 1 and odd_slot(x.profile, x.flavor, h):
             return None  # odd variable squares to zero
         return a[: h - 1] + (a[h - 1] + 1, a[h] - 1) + a[h + 1 :], a[h - 1] + 1
     else:
         if a[h - 1] == 0:
             return None
-        if a[h] == 1 and x.odd_slot(h + 1):
+        if a[h] == 1 and odd_slot(x.profile, x.flavor, h + 1):
             return None
         return a[: h - 1] + (a[h - 1] - 1, a[h] + 1) + a[h + 1 :], a[h] + 1
 
 
 def act_factor(letter: GenLetter, x: DividedMonomial) -> LinComb:
     """Single-generator action on a divided monomial of one factor algebra."""
+    check_index(letter, x.profile.size)
     if letter.kind == K:
-        return LinComb._raw({x: _k_coeff(x, letter.index, letter.power)})
+        i = letter.index
+        return LinComb._raw({x: v_sub(i, letter.power * x.exps[i - 1], x.profile.m)})
     res = _ef_factor(x, letter.kind, letter.index)
     if res is None:
         return _EMPTY
@@ -158,14 +148,11 @@ def act_tensor(letter: GenLetter, a: SuperMatrix) -> LinComb:
     """
     p = a.profile
     m, size = p.m, p.size
+    check_index(letter, size)
     if letter.kind == K:
         i = letter.index
-        if not 1 <= i <= size:
-            raise IndexError(f"K index {i} out of range 1..{size}")
         return LinComb.single(a, v_sub(i, letter.power * a.row_sum(i), m))
     h = letter.index
-    if not 1 <= h < size:
-        raise IndexError(f"generator index {h} out of range 1..{size - 1}")
     odd = h == m
     # E_h moves one unit from row h+1 to row h, F_h from row h to row h+1.
     src, dst = (h + 1, h) if letter.kind == E else (h, h + 1)
@@ -202,18 +189,15 @@ def act_tensor_coproduct(letter: GenLetter, a: SuperMatrix, _cols=None) -> LinCo
     tail, and each move builds the single coefficient +-[bracket] v^tail.
     """
     p = a.profile
-    m, size = p.m, p.size
+    m = p.m
+    check_index(letter, p.size)
     cols = column_monomials(a) if _cols is None else _cols
     if letter.kind == K:
         i = letter.index
-        if not 1 <= i <= size:
-            raise IndexError(f"K index {i} out of range 1..{size}")
         sgn = letter.power if i <= m else -letter.power
         return LinComb.single(a, VFunc.v_power(sum(sgn * col.exps[i - 1] for col in cols)))
 
     h = letter.index
-    if not 1 <= h < size:
-        raise IndexError(f"generator index {h} out of range 1..{size - 1}")
     odd = h == m
     is_e = letter.kind == E
     # Exponent of Ktilde_h on each column: s(h) c_h - s(h+1) c_{h+1}.
@@ -251,12 +235,9 @@ def highest_weight_word(r: int, a, profile: Profile) -> Word:
     writing order, so F_1 acts first).  Blocks for larger k are written
     further right and act earlier.
     """
-    a = tuple(int(x) for x in a)
-    if len(a) != profile.size:
-        raise ValueError(f"weight vector must have length {profile.size}")
+    a = DividedMonomial(profile, ZERO_ONE, a).exps
     if sum(a) != r:
         raise ValueError(f"weight vector sums to {sum(a)}, expected {r}")
-    DividedMonomial(profile, ZERO_ONE, a)  # validates odd slots
     letters = []
     for kslot in range(2, profile.size + 1):
         amount = a[kslot - 1]

@@ -108,53 +108,51 @@ class VPoly:
     def __mul__(self, other: "VPoly") -> "VPoly":
         if not self.c or not other.c:
             return _P_ZERO
-        if len(self.c) == 1:
-            (e1, c1), = self.c.items()
-            if c1 == 1:
-                return other.shift(e1) if e1 else other
-            return VPoly._raw({e1 + e: c1 * c for e, c in other.c.items()})
-        if len(other.c) == 1:
-            (e2, c2), = other.c.items()
-            if c2 == 1:
-                return self.shift(e2) if e2 else self
-            return VPoly._raw({e2 + e: c2 * c for e, c in self.c.items()})
-        d = {}
-        for e1, c1 in self.c.items():
-            for e2, c2 in other.c.items():
-                e = e1 + e2
-                s = d.get(e, 0) + c1 * c2
-                if s:
-                    d[e] = s
-                else:
-                    del d[e]
-        return VPoly._raw(d)
+        if len(self.c) > 1:
+            if len(other.c) > 1:
+                d = {}
+                for e1, c1 in self.c.items():
+                    for e2, c2 in other.c.items():
+                        e = e1 + e2
+                        s = d.get(e, 0) + c1 * c2
+                        if s:
+                            d[e] = s
+                        else:
+                            del d[e]
+                return VPoly._raw(d)
+            self, other = other, self
+        (e1, c1), = self.c.items()
+        if c1 == 1:
+            return other.shift(e1) if e1 else other
+        return VPoly._raw({e1 + e: c1 * c for e, c in other.c.items()})
 
     def shift(self, k: int) -> "VPoly":
         """Multiply by v^k (k >= -valuation)."""
         return VPoly._raw({e + k: c for e, c in self.c.items()})
 
     def divmod(self, other: "VPoly"):
-        if other.is_zero():
+        """(q, r) with self = q * other + r and deg r < deg other, by long
+        division over a dense list of coefficients."""
+        a, b = self.c, other.c
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
-            return _P_ZERO, _P_ZERO
-        db = max(other.c)
-        lb = other.c[db]
-        rem = dict(self.c)
+        db, top = max(b), max(a, default=-1)
+        lb = b[db]
+        # Each step cancels the entry it reads, so the leading term of other
+        # is left out, and only the entries below db form the remainder.
+        low = [(e, y) for e, y in b.items() if e != db]
+        rem = [0] * (top + 1)
+        for e, x in a.items():
+            rem[e] = x
         quo = {}
-        dr = max(rem)
-        while rem and dr >= db:
-            k = _div_coeff(rem[dr], lb)
-            quo[dr - db] = k
-            for e, c in other.c.items():
-                ee = e + dr - db
-                s = rem.get(ee, 0) - k * c
-                if s:
-                    rem[ee] = s
-                else:
-                    rem.pop(ee, None)
-            dr = max(rem) if rem else -1
-        return VPoly._raw(quo), VPoly._raw(rem)
+        for i in range(top - db, -1, -1):
+            if x := rem[i + db]:
+                if lb != 1 or type(x) is not int:
+                    x = _div_coeff(x, lb)  # keeps integral values int; int / 1 is itself
+                quo[i] = x
+                for e, y in low:
+                    rem[i + e] -= x * y
+        return VPoly._raw(quo), VPoly._raw({e: _coerce(x) for e, x in enumerate(rem[:db]) if x})
 
     def gcd(self, other: "VPoly") -> "VPoly":
         """Monic gcd over Q by Euclid; gcd(0, p) = monic p."""
@@ -226,23 +224,13 @@ def _cyclotomic(k: int) -> VPoly:
 
 
 def _quotient(p: VPoly, k: int):
-    """p / Phi_k if Phi_k divides p, else None.  Phi_k is monic with integer
-    coefficients, so the division divides no coefficient; Phi_1 and Phi_2 are
-    first tested by the sum and the alternating sum of the coefficients."""
+    """p / Phi_k if Phi_k divides p, else None; Phi_1 and Phi_2 are first
+    tested by the sum and the alternating sum of the coefficients."""
     c = p.c
     if k == 1 and sum(c.values()) or k == 2 and sum(x if e % 2 == 0 else -x for e, x in c.items()):
         return None
-    phi = _cyclotomic(k).c
-    deg, top = max(phi), max(c)
-    rem = [c.get(e, 0) for e in range(top + 1)]
-    quo = {}
-    for i in range(top - deg, -1, -1):
-        x = rem[i + deg]
-        if x:
-            quo[i] = x
-            for e, y in phi.items():
-                rem[i + e] -= x * y
-    return None if any(rem) else VPoly._raw(quo)
+    q, r = p.divmod(_cyclotomic(k))
+    return None if r.c else q
 
 
 def _cancel(n: VPoly, phi: tuple, ks=None) -> tuple:

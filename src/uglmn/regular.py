@@ -35,7 +35,7 @@ from .superindex import (
     super_dot,
     zero_matrix,
 )
-from .words import E, K, GenLetter, Word, apply_word, word_text
+from .words import E, K, GenLetter, Word, apply_word, check_index, word_text
 from .words import e as e_letter
 from .words import f as f_letter
 from .words import k as k_letter
@@ -101,15 +101,12 @@ def act_letter(letter: GenLetter, b: SeriesBasis, signed: bool = False) -> LinCo
     p = a.profile
     m, size = p.m, p.size
     j = b.j
+    check_index(letter, size)
     if letter.kind == K:
         i = letter.index
-        if not 1 <= i <= size:
-            raise IndexError(f"K index {i} out of range 1..{size}")
         coeff = v_sub(i, letter.power * a.row_sum(i), m)
         return LinComb._raw({SeriesBasis._make(a, _shift_j(j, i, letter.power)): coeff})
     h = letter.index
-    if not 1 <= h < size:
-        raise IndexError(f"generator index {h} out of range 1..{size - 1}")
     is_e = letter.kind == E
     src, dst = (h + 1, h) if is_e else (h, h + 1)
     stat = f_stat if is_e else g_stat
@@ -240,12 +237,8 @@ def monomial_word(mat: SuperMatrix, j) -> Word:
     blocks from the last column down to the second.  Letters with zero
     divided power are omitted.
     """
-    if not mat.is_offdiag():
-        raise ValueError("monomial words are indexed by diagonal-free matrices")
+    j = SeriesBasis(mat, j).j
     size = mat.profile.size
-    j = tuple(int(x) for x in j)
-    if len(j) != size:
-        raise ValueError(f"twist vector must have length {size}")
     letters = []
     for col in range(1, size):
         for row in range(col + 1, size + 1):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .linear import LinComb
-from .polyaction import ZERO_ONE, DividedMonomial, act_factor, act_tensor
+from .polyaction import DividedMonomial, act_factor, act_tensor, odd_slot
 from .qcoeff import ONE, VFunc, v_gap_inv
 from .regular import SeriesBasis, act_letter
 from .superindex import (
@@ -218,11 +218,7 @@ def full_suite(handle: ActionHandle) -> SuiteReport:
 
 def all_divided_monomials(p: Profile, flavor: str, max_degree: int):
     """Every divided monomial of total degree <= max_degree."""
-    m = p.m
-    caps = []
-    for i in range(p.size):
-        odd = (i >= m) if flavor == ZERO_ONE else (i < m)
-        caps.append(range(2 if odd else max_degree + 1))
+    caps = [range(2 if odd_slot(p, flavor, i) else max_degree + 1) for i in range(1, p.size + 1)]
     for exps in itertools.product(*caps):
         if sum(exps) <= max_degree:
             yield DividedMonomial(p, flavor, exps)

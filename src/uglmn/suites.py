@@ -142,8 +142,9 @@ def series_truncation_agreement(
     return _run_grid(name, check, all_offdiag, p, bound, threads)
 
 
-def default_j_values(p: Profile, values=(-1, 0, 1)) -> list:
-    return list(itertools.product(values, repeat=p.size))
+def default_j_values(p: Profile) -> list:
+    """Every twist vector with entries in {-1, 0, 1}."""
+    return list(itertools.product((-1, 0, 1), repeat=p.size))
 
 
 def run_factor_suites(p: Profile, degree_bound: int, mutate: bool = False) -> list:

@@ -43,6 +43,14 @@ class GenLetter(namedtuple("GenLetter", "kind index power")):
 Word = tuple  # tuple[GenLetter, ...]
 
 
+def check_index(letter: GenLetter, size: int) -> None:
+    """Raise IndexError unless the letter exists at m + n = size: K_i needs
+    i <= size, and E_h, F_h need h < size."""
+    top = size if letter.kind == K else size - 1
+    if letter.index > top:
+        raise IndexError(f"generator {letter.text()} needs an index in 1..{top} when m + n = {size}")
+
+
 def e(h: int, a: int = 1) -> GenLetter:
     return GenLetter(E, h, a)
 

@@ -6,6 +6,7 @@ tensor-agreement grid (criterion 2) is the long pole: its (2,2) slice walks
 1,679,616 matrices.
 """
 
+import itertools
 import random
 import time
 
@@ -121,8 +122,8 @@ def test_criterion_4_series_relation_suite():
     failures = []
     checked = 0
     grids = (
-        (Profile(1, 1), default_j_values(Profile(1, 1), (-1, 0, 1))),
-        (Profile(2, 1), default_j_values(Profile(2, 1), (0, 1))),
+        (Profile(1, 1), default_j_values(Profile(1, 1))),
+        (Profile(2, 1), list(itertools.product((0, 1), repeat=3))),
     )
     for p, j_values in grids:
         rep = full_suite(series_handle(p, 1, j_values))

@@ -421,3 +421,30 @@ def test_expand_matrix_json_nested_too_deeply_exit_2(capsys, tmp_path):
     path = tmp_path / "deep-matrix.json"
     path.write_text(matrix)
     _assert_input_error(capsys, ["expand", "--m", "1", "--n", "1", "--A", str(path), "--j", "0,0"])
+
+
+_ONE = {"num": {"0": "1"}, "den": {"0": "1"}}
+_ZERO_11 = {"m": 1, "n": 1, "entries": [[0, 0], [0, 0]]}
+
+
+@pytest.mark.parametrize(
+    "field, argv",
+    [
+        ("coeff", ["act", "--input", json.dumps([{"A": _ZERO_11, "j": [0, 0]}])]),
+        ("A", ["act", "--input", json.dumps([{"coeff": _ONE, "j": [0, 0]}])]),
+        ("j", ["act", "--input", json.dumps([{"coeff": _ONE, "A": _ZERO_11}])]),
+        ("a", ["act", "--space", "factor", "--input", json.dumps([{"coeff": _ONE}])]),
+        ("num", ["act", "--input", json.dumps([{"coeff": {"den": {"0": "1"}}, "A": _ZERO_11, "j": [0, 0]}])]),
+        ("den", ["act", "--input", json.dumps([{"coeff": {"num": {"0": "1"}}, "A": _ZERO_11, "j": [0, 0]}])]),
+        ("m", ["expand", "--A", '{"n": 1, "entries": [[0, 1], [0, 0]]}', "--j", "0,0"]),
+    ],
+)
+def test_missing_json_field_is_named(capsys, field, argv):
+    if argv[0] == "act":
+        argv = argv + ["--gen", "K1"]
+    code = main(argv + ["--m", "1", "--n", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"missing the field '{field}'" in captured.err

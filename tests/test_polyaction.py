@@ -24,6 +24,7 @@ from uglmn.polyaction import (
     tensor_element_to_json,
 )
 from uglmn.qcoeff import ONE, VFunc, quantum_integer
+from uglmn.regular import act_letter, one_label
 from uglmn.suites import tensor_agreement
 from uglmn.superindex import (
     Profile,
@@ -284,3 +285,19 @@ def test_element_json_rejects_duplicate_terms():
     a = {"m": 1, "n": 1, "entries": [[1, 0], [0, 0]]}
     with pytest.raises(ValueError):
         tensor_element_from_json([{"coeff": one, "A": a}] * 2)
+
+
+@pytest.mark.parametrize("p", [P11, P21, P12])
+def test_actions_reject_generators_outside_the_profile(p):
+    size = p.size
+    keys = (
+        (act_letter, one_label(p)),
+        (act_tensor, zero_matrix(p)),
+        (act_tensor_coproduct, zero_matrix(p)),
+        (act_factor, mono(p, ZERO_ONE, (0,) * size)),
+        (act_factor, mono(p, ONE_ZERO, (0,) * size)),
+    )
+    for act, key in keys:
+        for letter in (e(size), f(size), k(size + 1), k(size + 1, -1)):
+            with pytest.raises(IndexError, match=f"needs an index in 1..[0-9]+ when m \\+ n = {size}"):
+                act(letter, key)

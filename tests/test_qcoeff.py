@@ -464,3 +464,50 @@ def test_large_json_denominators_classify_quickly():
     argv = ["act", "--m", "1", "--n", "1", "--space", "series", "--gen", "E1", "--input", json.dumps([term])]
     assert main(argv) == 0
     assert time.perf_counter() - start < 10
+
+
+def _random_poly(rng, top):
+    """Degree top, Fraction coefficients; the leading one is often not 1."""
+    c = {e: Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for e in range(top + 1)}
+    c[top] = Fraction(rng.choice((-3, -2, 1, 2, 5)), rng.choice((1, 2, 3)))
+    return VPoly(c)
+
+
+def _exact_types(p: VPoly) -> bool:
+    """Integral coefficients are stored as int."""
+    return all(type(x) is int or x.denominator != 1 for x in p.c.values())
+
+
+def test_divmod_is_exact_long_division():
+    try:
+        import sympy
+    except ImportError:
+        sympy = None
+    rng = random.Random(20261019)
+    for _ in range(300):
+        a = _random_poly(rng, rng.randrange(0, 9)) if rng.random() < 0.9 else VPoly()
+        b = _random_poly(rng, rng.randrange(0, 5))
+        q, r = a.divmod(b)
+        assert q * b + r == a
+        assert max(r.c, default=-1) < max(b.c)
+        assert _exact_types(q) and _exact_types(r)
+        if sympy is not None:
+            x = sympy.Symbol("v")
+
+            def sym(p):
+                return sum((sympy.Rational(c) * x**e for e, c in p.c.items()), sympy.Integer(0))
+
+            sq, sr = sympy.div(sym(a), sym(b), x, domain="QQ")
+            assert sympy.expand(sq - sym(q)) == 0 and sympy.expand(sr - sym(r)) == 0
+    with pytest.raises(ZeroDivisionError):
+        VPoly({1: 1}).divmod(VPoly())
+
+
+def test_cyclotomic_trial_division():
+    rng = random.Random(30)
+    for k in range(1, 31):
+        q = VPoly({e: rng.randint(-3, 3) for e in range(rng.randrange(0, 6))} | {6: 1})
+        multiple = qcoeff._cyclotomic(k) * q
+        assert qcoeff._quotient(multiple, k) == q
+        assert _exact_types(qcoeff._quotient(multiple, k))
+        assert qcoeff._quotient(multiple + VPoly({0: 1}), k) is None
