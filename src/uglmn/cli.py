@@ -8,6 +8,7 @@ Exit codes: 0 on success (and for verify/oracle-compare: everything passed),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -212,6 +213,7 @@ def cmd_highest_weight(args) -> int:
     return 0
 
 
+@functools.cache  # parsing never changes the parser: build it once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uglmn",

@@ -94,7 +94,7 @@ class VPoly:
         for e, c in other.c.items():
             s = d.get(e, 0) + c
             if s:
-                d[e] = s
+                d[e] = s if type(s) is int else _coerce(s)  # 1/2 + 1/2 is the int 1
             else:
                 d.pop(e, None)
         return VPoly._raw(d)
@@ -116,7 +116,7 @@ class VPoly:
                         e = e1 + e2
                         s = d.get(e, 0) + c1 * c2
                         if s:
-                            d[e] = s
+                            d[e] = s if type(s) is int else _coerce(s)
                         else:
                             del d[e]
                 return VPoly._raw(d)
@@ -124,7 +124,7 @@ class VPoly:
         (e1, c1), = self.c.items()
         if c1 == 1:
             return other.shift(e1) if e1 else other
-        return VPoly._raw({e1 + e: c1 * c for e, c in other.c.items()})
+        return VPoly._raw({e1 + e: x if type(x := c1 * c) is int else _coerce(x) for e, c in other.c.items()})
 
     def shift(self, k: int) -> "VPoly":
         """Multiply by v^k (k >= -valuation)."""
@@ -421,6 +421,11 @@ class VFunc:
         if not self.n.c or not other.n.c:
             return ZERO
         a, b = self.phi, other.phi
+        # A factor +-v^k only shifts s; its n, prime to v, is the constant +-1.
+        if a == () and len(self.n.c) == 1 and self.n.c[0] in (1, -1):
+            return VFunc._raw(self.s + other.s, other.n if self.n.c[0] == 1 else -other.n, b)
+        if b == () and len(other.n.c) == 1 and other.n.c[0] in (1, -1):
+            return VFunc._raw(self.s + other.s, self.n if other.n.c[0] == 1 else -self.n, a)
         if type(a) is not tuple or type(b) is not tuple:
             return VFunc(self.num * other.num, self.den * other.den)
         # Cross-cancel before multiplying out; then no factor is shared.

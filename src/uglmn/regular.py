@@ -35,7 +35,7 @@ from .superindex import (
     super_dot,
     zero_matrix,
 )
-from .words import E, K, GenLetter, Word, apply_word, check_index, word_text
+from .words import E, K, GenLetter, Word, apply_word, apply_words, check_index, word_text
 from .words import e as e_letter
 from .words import f as f_letter
 from .words import k as k_letter
@@ -311,8 +311,8 @@ def _words(b: SeriesBasis) -> LinComb:
 
 def multiply(x: LinComb, y: LinComb) -> LinComb:
     """Product in the supergroup: expand each left label into generator words
-    and act with them on the right element."""
-    return x.bind(_words).bind(lambda w: act_word(w, y))
+    and act with them, in Horner form, on the right element."""
+    return apply_words(x.bind(_words), y, act_letter)
 
 
 def to_signed(x: LinComb) -> LinComb:

@@ -26,7 +26,7 @@ from .superindex import (
     basis_vector,
     super_dot,
 )
-from .words import E, F, GenLetter, apply_word
+from .words import E, F, GenLetter, apply_words
 from .words import e as e_letter
 from .words import f as f_letter
 from .words import k as k_letter
@@ -197,7 +197,7 @@ def check_relation(rel: Relation, handle: ActionHandle) -> RelationReport:
     for key in handle.basis:
         start = LinComb.single(key)
         for poly in rel.polys:
-            residual = poly.bind(lambda word: apply_word(word, start, act))
+            residual = apply_words(poly, start, act)
             if not residual.is_zero():
                 return RelationReport(
                     rel.label,

@@ -101,3 +101,22 @@ def apply_word(word: Word, x: LinComb, act) -> LinComb:
                     return x
             x = x.scale(quantum_factorial_inv(letter.power))
     return x
+
+
+def apply_words(words: LinComb, x: LinComb, act) -> LinComb:
+    """sum_w c_w w(x) in Horner form: the words that begin with one letter
+    share its application, the costliest one, as it acts last.  Node p of the
+    trie of word prefixes holds sum_{w = p w'} c_w w'(x), and its last letter
+    acts once on that sum to feed its parent; a level at a time, longest
+    prefixes first, so the word length never bounds the stack."""
+    by_len: dict = {}
+    for w, c in words:
+        by_len.setdefault(len(w), []).append((w, c))
+    level: dict = {}  # prefix of the current length -> its node's sum
+    for depth in range(max(by_len, default=0), -1, -1):
+        up = {w: x.scale(c) for w, c in by_len.get(depth, ())}
+        for p, y in level.items():
+            y, q = apply_word(p[-1:], y, act), p[:-1]
+            up[q] = up[q] + y if q in up else y
+        level = up
+    return level.get((), LinComb.zero())

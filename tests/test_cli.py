@@ -448,3 +448,30 @@ def test_missing_json_field_is_named(capsys, field, argv):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert f"missing the field '{field}'" in captured.err
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # main keeps one parser for the process; several calls in a row, on
+    # different subcommands and with a parse error (exit 2) and a bad input
+    # (exit 2) between them, must each print what a fresh process prints.
+    from uglmn.cli import build_parser
+
+    one = json.dumps([{"coeff": {"num": {"0": "1"}, "den": {"0": "1"}},
+                       "A": {"m": 1, "n": 1, "entries": [[0, 1], [0, 0]]}, "j": [0, 0]}])
+    calls = [
+        ["expand", "--m", "1", "--n", "1", "--A", "0,1;1,0", "--j", "0,1"],
+        ["multiply", "--m", "1", "--n", "1", "--lhs", one, "--rhs", one],
+        ["act", "--m", "1", "--n", "1", "--gen", "E1"],
+        ["act", "--m", "1", "--n", "1", "--gen", "F1", "--input", one],
+        ["truncate", "--m", "1", "--n", "1", "--A", "0,1;0,0", "--j", "0,0", "--L", "-1"],
+        ["multiply", "--m", "1", "--n", "1", "--lhs", one, "--rhs", one],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "uglmn.cli", *argv], capture_output=True, text=True)
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert build_parser() is build_parser()

@@ -511,3 +511,40 @@ def test_cyclotomic_trial_division():
         assert qcoeff._quotient(multiple, k) == q
         assert _exact_types(qcoeff._quotient(multiple, k))
         assert qcoeff._quotient(multiple + VPoly({0: 1}), k) is None
+
+
+def _same_fields(x: VFunc, y: VFunc) -> bool:
+    return x.s == y.s and x.n.c == y.n.c and x.phi == y.phi
+
+
+def test_unit_monomial_product_only_shifts():
+    # +-v^k times anything keeps the other side's n and phi: Phi_k products,
+    # general VPoly denominators and Laurent polynomials alike.
+    rng = random.Random(1404)
+    general = VFunc(VPoly({1: 2, 0: -1}), VPoly({2: 1, 1: 1, 0: 1}) * VPoly({1: 1, 0: 3}))
+    assert isinstance(general.phi, VPoly)
+    for _ in range(400):
+        x = rng.choice([_shared_factor_vfunc(rng), _random_vfunc(rng), general, quantum_factorial(3).inv()])
+        u = v(rng.randint(-3, 3)) * VFunc.from_int(rng.choice((1, -1)))
+        for a, b in ((u, x), (x, u)):
+            got = a * b
+            assert _same_fields(got, VFunc(a.num * b.num, a.den * b.den))
+            assert got.phi is x.phi or got.is_zero()
+
+
+def test_integral_fractions_keep_one_canonical_form():
+    # (v/2 + v/2 - 1) sums Fraction coefficients to the integers of v - 1; its
+    # inverse must then factor as 1/Phi_1, like the one built from ints.
+    x = (VFunc.laurent({1: Fraction(1, 2)}) + VFunc.laurent({1: Fraction(1, 2), 0: -1})).inv()
+    y = VFunc.laurent({1: 1, 0: -1}).inv()
+    assert (x - y).is_zero()
+    assert x.phi == y.phi == ((1, 1),)
+    assert x == y
+    # The same through a product: (v - 1)/2 times 2.
+    z = (VFunc.laurent({1: Fraction(1, 2), 0: Fraction(-1, 2)}) * VFunc.from_int(2)).inv()
+    assert _same_fields(z, y)
+    rng = random.Random(1405)
+    for _ in range(200):
+        p = _random_poly(rng, rng.randrange(0, 5))
+        for q in (p + p, p * VPoly({0: 2}), p * VPoly({1: 1, 0: 2})):
+            assert _exact_types(q)
