@@ -2,7 +2,9 @@
 verification suites, all over canonical JSON.
 
 Exit codes: 0 on success (and for verify/oracle-compare: everything passed),
-1 when a verification fails, 2 on bad input.
+1 when a verification fails, 2 on bad input, 141 when the reader of stdout
+closed it before the output was written (the code a shell reports after
+SIGPIPE).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from .linear import LinComb
@@ -280,14 +283,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv) -> list:
+    """argparse reads a value such as '-1,0' as an option: pass '--j -1,0'
+    on as '--j=-1,0'."""
+    out = []
+    for tok in argv:
+        if out and re.match(r"--\w[^=]*$", out[-1]) and re.match(r"-\d", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except (InputError, ValueError, IndexError, KeyError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Nothing reads stdout any more: send what is left to the null device,
+        # so the flush at interpreter exit raises nothing either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

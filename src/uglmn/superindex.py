@@ -9,7 +9,16 @@ All public indices are 1-based.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import namedtuple
+
+
+def _check_index(size: int, i: int, h=None) -> None:
+    """IndexError unless 1 <= i <= size and, when h is given, 1 <= h < size."""
+    if h is not None and not 1 <= h < size:
+        raise IndexError(f"index {h} out of range 1..{size - 1}")
+    if not 1 <= i <= size:
+        raise IndexError(f"index {i} out of range 1..{size}")
 
 
 class Profile(namedtuple("Profile", "m n")):
@@ -27,8 +36,7 @@ class Profile(namedtuple("Profile", "m n")):
         return self.m + self.n
 
     def parity(self, i: int) -> int:
-        if not 1 <= i <= self.size:
-            raise IndexError(f"index {i} out of range 1..{self.size}")
+        _check_index(self.size, i)
         return 0 if i <= self.m else 1
 
 
@@ -49,8 +57,7 @@ def super_dot(a, b, p: Profile) -> int:
 
 
 def basis_vector(i: int, size: int) -> tuple:
-    if not 1 <= i <= size:
-        raise IndexError(f"index {i} out of range 1..{size}")
+    _check_index(size, i)
     return tuple(1 if k == i - 1 else 0 for k in range(size))
 
 
@@ -93,9 +100,6 @@ class SuperMatrix(namedtuple("SuperMatrix", "profile rows")):
 
     def row_sum(self, i: int) -> int:
         return sum(self.rows[i - 1])
-
-    def column(self, j: int) -> tuple:
-        return tuple(r[j - 1] for r in self.rows)
 
     def total(self) -> int:
         return sum(map(sum, self.rows))
@@ -165,59 +169,42 @@ def unit_matrix(p: Profile, i: int, j: int) -> SuperMatrix:
     return zero_matrix(p).shift(((i, j, 1),))
 
 
+def odd_counts(a: SuperMatrix) -> list:
+    """For each column, the sum of its odd-block entries: rows > m in the
+    first m columns, rows <= m in the others."""
+    m = a.profile.m
+    return [sum(c[m:]) if t < m else sum(c[:m]) for t, c in enumerate(zip(*a.rows))]
+
+
 def sigma(i: int, a: SuperMatrix) -> int:
-    """Count of odd-block entries strictly "before" column position i:
-    rows > m against columns < i for i <= m; for i > m, all of the lower-left
-    block plus rows <= m against columns strictly between m and i.
-    """
-    p = a.profile
-    m, size = p.m, p.size
-    if not 1 <= i <= size:
-        raise IndexError(f"index {i} out of range 1..{size}")
-    rows = a.rows
-    if i <= m:
-        return sum(rows[s][t] for s in range(m, size) for t in range(i - 1))
-    total = sum(rows[s][t] for s in range(m, size) for t in range(m))
-    total += sum(rows[s][t] for s in range(m) for t in range(m, i - 1))
-    return total
+    """Count of odd-block entries in the columns strictly before column i."""
+    _check_index(a.profile.size, i)
+    return sum(odd_counts(a)[: i - 1])
 
 
 def f_stat(h: int, i: int, a: SuperMatrix) -> int:
     """Signed count of row-h/h+1 entries to the right of column i."""
     p = a.profile
-    if not 1 <= h < p.size:
-        raise IndexError(f"index {h} out of range 1..{p.size - 1}")
-    if not 1 <= i <= p.size:
-        raise IndexError(f"index {i} out of range 1..{p.size}")
+    _check_index(p.size, i, h)
     sgn = -1 if h == p.m else 1
-    rh = a.rows[h - 1]
-    rh1 = a.rows[h]
-    return sum(rh[i:]) - sgn * sum(rh1[i:])
+    return sum(a.rows[h - 1][i:]) - sgn * sum(a.rows[h][i:])
 
 
 def g_stat(h: int, i: int, a: SuperMatrix) -> int:
     """Signed count of row-h+1/h entries to the left of column i."""
     p = a.profile
-    if not 1 <= h < p.size:
-        raise IndexError(f"index {h} out of range 1..{p.size - 1}")
-    if not 1 <= i <= p.size:
-        raise IndexError(f"index {i} out of range 1..{p.size}")
+    _check_index(p.size, i, h)
     sgn = -1 if h == p.m else 1
-    rh = a.rows[h - 1]
-    rh1 = a.rows[h]
-    return sum(rh1[: i - 1]) - sgn * sum(rh[: i - 1])
+    return sum(a.rows[h][: i - 1]) - sgn * sum(a.rows[h - 1][: i - 1])
 
 
 def a_bar(a: SuperMatrix) -> int:
     """Sum over pairs of upper-right-block entries in strictly increasing
     columns: sum_{i,k <= m; m < j < l} a_{i,j} a_{k,l}."""
-    p = a.profile
-    m, size = p.m, p.size
-    col = [sum(a.rows[i][t] for i in range(m)) for t in range(size)]
-    total = 0
-    for j in range(m, size):
-        for l in range(j + 1, size):
-            total += col[j] * col[l]
+    total = seen = 0
+    for x in odd_counts(a)[a.profile.m :]:
+        total += seen * x
+        seen += x
     return total
 
 
@@ -226,57 +213,41 @@ def s_sign(h: int, i: int, a: SuperMatrix) -> int:
     lower-left entries in columns <= min(i-1, m) plus, when i > m, the count
     of upper-right entries in columns > i; zero for h != m."""
     p = a.profile
-    m, size = p.m, p.size
-    if not 1 <= h < size:
-        raise IndexError(f"index {h} out of range 1..{size - 1}")
-    if not 1 <= i <= size:
-        raise IndexError(f"index {i} out of range 1..{size}")
-    if h != m:
+    _check_index(p.size, i, h)
+    if h != p.m:
         return 0
-    cut = min(i - 1, m)
-    total = sum(a.rows[s][t] for s in range(m, size) for t in range(cut))
-    if i > m:
-        total += sum(a.rows[s][t] for s in range(m) for t in range(i, size))
-    return total
+    o = odd_counts(a)
+    return sum(o[: min(i - 1, p.m)]) + (sum(o[i:]) if i > p.m else 0)
 
 
 def matrix_parity(a: SuperMatrix) -> int:
     """Total of odd-block entries mod 2."""
-    m, size = a.profile.m, a.profile.size
-    total = sum(a.rows[s][t] for s in range(m) for t in range(m, size))
-    total += sum(a.rows[s][t] for s in range(m, size) for t in range(m))
-    return total & 1
+    return sum(odd_counts(a)) & 1
 
 
-def upper_l(a: SuperMatrix, s: int, t: int) -> int:
-    """Corner sum over rows <= s and columns >= t (requires s < t)."""
-    if not s < t:
-        raise ValueError("upper corner sum needs s < t")
-    return sum(a.rows[i][j] for i in range(s) for j in range(t - 1, a.profile.size))
-
-
-def lower_neg(a: SuperMatrix, s: int, t: int) -> int:
-    """Corner sum over rows >= s and columns <= t (requires s > t)."""
-    if not s > t:
-        raise ValueError("lower corner sum needs s > t")
-    return sum(a.rows[i][j] for i in range(s - 1, a.profile.size) for j in range(t))
+def corner_sums(a: SuperMatrix) -> list:
+    """Every corner sum of a, in row-major order of (s, t) with s != t: over
+    rows <= s and columns >= t when s < t, over rows >= s and columns <= t
+    when s > t."""
+    rows = a.rows
+    prefix = []  # prefix[s][t]: the sum over rows <= s and columns <= t
+    run = [0] * len(rows)
+    for row in rows:
+        run = list(map(operator.add, run, itertools.accumulate(row)))
+        prefix.append(run)
+    above, out = [0] * len(rows), []  # above: the prefix sums of rows < s
+    for s, cur in enumerate(prefix):
+        out += map(operator.sub, run[:s], above)  # t < s: rows >= s
+        out += [cur[-1] - x for x in cur[s:-1]]  # t > s: rows <= s less columns < t
+        above = cur
+    return out
 
 
 def preceq(a: SuperMatrix, b: SuperMatrix) -> bool:
-    """True iff every upper corner sum of a is <= that of b (s < t) and every
-    lower corner sum likewise (s > t)."""
+    """True iff every corner sum of a is <= the same corner sum of b."""
     if a.profile != b.profile:
         raise ValueError("profile mismatch")
-    size = a.profile.size
-    for s in range(1, size + 1):
-        for t in range(1, size + 1):
-            if s < t:
-                if upper_l(a, s, t) > upper_l(b, s, t):
-                    return False
-            elif s > t:
-                if lower_neg(a, s, t) > lower_neg(b, s, t):
-                    return False
-    return True
+    return all(x <= y for x, y in zip(corner_sums(a), corner_sums(b)))
 
 
 def strictly_lower(a: SuperMatrix, b: SuperMatrix) -> bool:

@@ -475,3 +475,38 @@ def test_parser_is_built_once_and_reused(capsys):
         fresh = subprocess.run([sys.executable, "-m", "uglmn.cli", *argv], capture_output=True, text=True)
         assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--m", "1", "--n", "1", "--A", "0,1;0,0"],
+        ["truncate", "--m", "1", "--n", "1", "--A", "0,1;0,0", "--L", "1"],
+        ["oracle-compare", "--m", "1", "--n", "1", "--gen", "F1", "--A", "0,1;0,0"],
+    ],
+    ids=["expand", "truncate", "oracle-compare"],
+)
+def test_negative_twist_as_its_own_argument(capsys, argv):
+    # argparse alone reads '-1,0' as an unknown option and exits 2.
+    assert run_cli(capsys, *argv, "--j", "-1,0") == run_cli(capsys, *argv, "--j=-1,0")
+    code, out = run_cli(capsys, *argv, "--j", "-1,0")
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--m", "1", "--n", "1", "--bound", "1"],
+        ["expand", "--m", "1", "--n", "1", "--A", "0,1;1,0", "--j", "0,0"],
+    ],
+    ids=["verify", "expand"],
+)
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    # Exit 1 would read as a failed verification.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "uglmn.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    proc.stdout.close()  # the reader is gone before any output is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")

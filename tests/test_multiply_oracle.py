@@ -23,6 +23,7 @@ P11 = Profile(1, 1)
 P20 = Profile(2, 0)
 P21 = Profile(2, 1)
 P12 = Profile(1, 2)
+P22 = Profile(2, 2)
 
 
 def _rank_one(p: Profile, kind, h: int, a: int) -> LinComb:
@@ -77,10 +78,10 @@ def _closed_form_failures(p: Profile) -> list:
         if h == p.m:
             continue  # odd root: see _odd_square_failures
         for kind in (e, f):
-            for a in (1, 2):
+            for a in (1, 2, 3):
                 if act_word((kind(h, a),), o) != _rank_one(p, kind, h, a):
                     out.append((kind(h, a), "O(0)"))
-                for b in (1, 2):
+                for b in (1, 2, 3):
                     lhs = multiply(_rank_one(p, kind, h, a), _rank_one(p, kind, h, b))
                     if lhs != _rank_one(p, kind, h, a + b).scale(_qbinom(a + b, a)):
                         out.append((kind(h, a), kind(h, b)))
@@ -97,29 +98,33 @@ def _odd_square_failures(p: Profile) -> list:
     return out
 
 
-def _associativity_failures() -> list:
+def _associativity_failures(p: Profile) -> list:
     rng = random.Random(1402)
-    mats = [a for a in all_offdiag(P21, 1) if a.offdiag_total() <= 2]
+    mats = [a for a in all_offdiag(p, 1) if a.offdiag_total() <= 2]
     out = []
     for _ in range(6):
-        x, y, z = (_random_element(P21, rng, mats, 2) for _ in range(3))
+        x, y, z = (_random_element(p, rng, mats, 2) for _ in range(3))
         if multiply(multiply(x, y), z) != multiply(x, multiply(y, z)):
             out.append((x, y, z))
     return out
 
 
-@pytest.mark.parametrize("p", [P20, P21, P12])
+@pytest.mark.parametrize("p", [P20, P21, P12, P22])
 def test_rank_one_divided_powers(p):
     assert not _closed_form_failures(p)
 
 
-@pytest.mark.parametrize("p", [P11, P21, P12])
+@pytest.mark.parametrize("p", [P11, P21, P12, P22])
 def test_odd_squares_vanish(p):
     assert not _odd_square_failures(p)
 
 
 def test_multiply_associativity_at_21():
-    assert not _associativity_failures()
+    assert not _associativity_failures(P21)
+
+
+def test_multiply_associativity_at_22():
+    assert not _associativity_failures(P22)
 
 
 def _act_letter_calls(monkeypatch, fn) -> int:
@@ -164,7 +169,7 @@ def test_oracle_catches_a_dropped_remainder_word(monkeypatch):
         return x.filter_keys(lambda w: w != rest[0]) if rest else x
 
     monkeypatch.setattr(regular, "_words", planted)
-    failures = _associativity_failures()
+    failures = _associativity_failures(P21)
     for p in (P20, P21, P12):
         failures += _closed_form_failures(p)
     for p in (P11, P21, P12):

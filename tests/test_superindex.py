@@ -12,16 +12,16 @@ from uglmn.superindex import (
     all_offdiag,
     alpha,
     basis_vector,
+    corner_sums,
     f_stat,
     g_stat,
-    lower_neg,
     matrix_parity,
+    odd_counts,
     preceq,
     s_sign,
     sigma,
     super_dot,
     unit_matrix,
-    upper_l,
     zero_matrix,
 )
 
@@ -29,6 +29,8 @@ P11 = Profile(1, 1)
 P21 = Profile(2, 1)
 P12 = Profile(1, 2)
 P22 = Profile(2, 2)
+P31 = Profile(3, 1)
+P13 = Profile(1, 3)
 
 
 def mat(p, rows):
@@ -84,6 +86,7 @@ def test_alpha_beta():
 
 def test_sigma_examples():
     a = mat(P11, [[0, 1], [1, 0]])
+    assert odd_counts(a) == [1, 1]
     assert sigma(2, a) == 1
     assert sigma(1, a) == 0
     for p in (P11, P21, P22):
@@ -112,6 +115,7 @@ def test_sigma_hm():
     a = mat(P11, [[0, 1], [1, 0]])
     assert sigma(2, a) == 1
     b = mat(P21, [[0, 0, 1], [0, 0, 0], [1, 1, 0]])
+    assert odd_counts(b) == [1, 1, 1]
     assert sigma(3, b) == 2
 
 
@@ -179,8 +183,8 @@ def test_s_sign_examples():
 def test_corner_sums_and_preceq():
     e12 = unit_matrix(P11, 1, 2)
     e21 = unit_matrix(P11, 2, 1)
-    assert upper_l(e12, 1, 2) == 1
-    assert lower_neg(e21, 2, 1) == 1
+    assert corner_sums(e12) == [1, 0]  # (s, t) = (1, 2), then (2, 1)
+    assert corner_sums(e21) == [0, 1]
     assert preceq(e12, e12)
     assert preceq(zero_matrix(P11), e12)
     assert not preceq(e12, e21)
@@ -201,25 +205,13 @@ def test_preceq_reflexive_transitive():
             assert preceq(a, c)
 
 
-def _corner_signature(a):
-    size = a.profile.size
-    sig = []
-    for s in range(1, size + 1):
-        for t in range(1, size + 1):
-            if s < t:
-                sig.append(upper_l(a, s, t))
-            elif s > t:
-                sig.append(lower_neg(a, s, t))
-    return tuple(sig)
-
-
-@pytest.mark.parametrize("p", [P11, P21, P22])
+@pytest.mark.parametrize("p", [P11, P21, P22, P12, P31, P13])
 def test_preceq_antisymmetric_on_offdiag(p):
     # a preceq b and b preceq a iff the corner-sum signatures agree, so
     # antisymmetry on diagonal-free matrices is injectivity of the signature.
     seen = {}
     for a in all_offdiag(p, 1):
-        sig = _corner_signature(a)
+        sig = tuple(corner_sums(a))
         assert sig not in seen, f"{seen[sig]!r} and {a!r} are order-equivalent"
         seen[sig] = a
 
@@ -270,3 +262,115 @@ def test_enumeration_counts():
 def test_all_offdiag_keeps_the_order_of_all_matrices(p, bound):
     # verify reports failures in this order.
     assert list(all_offdiag(p, bound)) == [a for a in all_matrices(p, bound) if a.is_offdiag()]
+
+
+# The loops below are the statistics as first written, one nested sum per
+# statistic and per corner: the reference for the shared odd-column counts
+# and corner sums.
+
+
+def _ref_sigma(i, a):
+    m, size = a.profile.m, a.profile.size
+    rows = a.rows
+    if i <= m:
+        return sum(rows[s][t] for s in range(m, size) for t in range(i - 1))
+    total = sum(rows[s][t] for s in range(m, size) for t in range(m))
+    return total + sum(rows[s][t] for s in range(m) for t in range(m, i - 1))
+
+
+def _ref_f(h, i, a):
+    sgn = -1 if h == a.profile.m else 1
+    return sum(a.rows[h - 1][i:]) - sgn * sum(a.rows[h][i:])
+
+
+def _ref_g(h, i, a):
+    sgn = -1 if h == a.profile.m else 1
+    return sum(a.rows[h][: i - 1]) - sgn * sum(a.rows[h - 1][: i - 1])
+
+
+def _ref_a_bar(a):
+    m, size = a.profile.m, a.profile.size
+    col = [sum(a.rows[i][t] for i in range(m)) for t in range(size)]
+    return sum(col[j] * col[l] for j in range(m, size) for l in range(j + 1, size))
+
+
+def _ref_s_sign(h, i, a):
+    m, size = a.profile.m, a.profile.size
+    if h != m:
+        return 0
+    total = sum(a.rows[s][t] for s in range(m, size) for t in range(min(i - 1, m)))
+    if i > m:
+        total += sum(a.rows[s][t] for s in range(m) for t in range(i, size))
+    return total
+
+
+def _ref_parity(a):
+    m, size = a.profile.m, a.profile.size
+    total = sum(a.rows[s][t] for s in range(m) for t in range(m, size))
+    return (total + sum(a.rows[s][t] for s in range(m, size) for t in range(m))) & 1
+
+
+def _ref_corner_sums(a):
+    size = a.profile.size
+    out = []
+    for s in range(1, size + 1):
+        for t in range(1, size + 1):
+            if s < t:  # rows <= s, columns >= t
+                out.append(sum(a.rows[i][j] for i in range(s) for j in range(t - 1, size)))
+            elif s > t:  # rows >= s, columns <= t
+                out.append(sum(a.rows[i][j] for i in range(s - 1, size) for j in range(t)))
+    return out
+
+
+def _statistics_mismatches(a):
+    size = a.profile.size
+    out = []
+    for i in range(1, size + 1):
+        if sigma(i, a) != _ref_sigma(i, a):
+            out.append(("sigma", i))
+        for h in range(1, size):
+            for name, fn, ref in (
+                ("f", f_stat, _ref_f),
+                ("g", g_stat, _ref_g),
+                ("s_sign", s_sign, _ref_s_sign),
+            ):
+                if fn(h, i, a) != ref(h, i, a):
+                    out.append((name, h, i))
+    if a_bar(a) != _ref_a_bar(a):
+        out.append("a_bar")
+    if matrix_parity(a) != _ref_parity(a):
+        out.append("parity")
+    if corner_sums(a) != _ref_corner_sums(a):
+        out.append("corner_sums")
+    return out
+
+
+def _sample(p, rng, count):
+    """Matrices with even-block entries up to 3 and odd-block entries up to 1."""
+    m, size = p.m, p.size
+    return [
+        SuperMatrix(
+            p,
+            [
+                [rng.randint(0, 1 if (i < m) != (j < m) else 3) for j in range(size)]
+                for i in range(size)
+            ],
+        )
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "p", [P11, P21, P12, Profile(2, 0), Profile(3, 0), Profile(0, 3), P22, P31, P13]
+)
+def test_statistics_match_the_reference_loops(p):
+    rng = random.Random(1501)
+    mats = list(all_matrices(p, 1)) if p.size <= 3 else _sample(p, rng, 600)
+    verdicts = set()
+    for a in mats:
+        assert not _statistics_mismatches(a), a
+        for b in [a] + rng.sample(mats, 6):
+            want = all(x <= y for x, y in zip(_ref_corner_sums(a), _ref_corner_sums(b)))
+            assert preceq(a, b) == want, (a, b)
+            verdicts.add(want)
+    assert verdicts == {True, False}
