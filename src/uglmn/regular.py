@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import namedtuple
 
 from .linear import LinComb, element_from_json
@@ -26,16 +27,15 @@ from .superindex import (
     Profile,
     SuperMatrix,
     a_bar,
+    dominated_by,
     f_stat,
     g_stat,
     json_ints,
-    preceq,
     s_sign,
     sigma,
-    super_dot,
     zero_matrix,
 )
-from .words import E, K, GenLetter, Word, apply_word, apply_words, check_index, word_text
+from .words import E, F, K, GenLetter, Word, apply_word, apply_words, check_index, word_text
 from .words import e as e_letter
 from .words import f as f_letter
 from .words import k as k_letter
@@ -175,6 +175,19 @@ def _diag_shifts(size: int, level: int) -> tuple:
     )
 
 
+def _window(mat: SuperMatrix, level: int) -> list:
+    """The monomials mat + diag(lam), |lam| <= level, each with lam signed
+    by (-1)^parity, so that its dot product with j is the super_dot."""
+    m = mat.profile.m
+    shifts = _diag_shifts(mat.profile.size, level)
+    return [(lam[:m] + tuple(-x for x in lam[m:]), mat.add_diag(lam)) for lam in shifts]
+
+
+def _weigh(b: SeriesBasis, window) -> LinComb:
+    """The monomials of a window of b.mat, weighted by v^(lam * j)."""
+    return LinComb._raw({x: VFunc.v_power(sum(map(operator.mul, signed, b.j))) for signed, x in window})
+
+
 def truncate(b: SeriesBasis, level: int) -> LinComb:
     """Finite witness of a label: sum over |lam| <= level of
     v^(lam * j) X^[A + diag(lam)].  Only the weights depend on the twist j,
@@ -182,14 +195,7 @@ def truncate(b: SeriesBasis, level: int) -> LinComb:
     every twist of one matrix (see truncation_mismatches)."""
     if level < 0:
         raise ValueError("truncation level must be >= 0")
-    p = b.profile
-    return LinComb._raw(
-        {b.mat.add_diag(lam): VFunc.v_power(super_dot(lam, b.j, p)) for lam in _diag_shifts(p.size, level)}
-    )
-
-
-def truncate_element(x: LinComb, level: int) -> LinComb:
-    return x.bind(lambda b: truncate(b, level))
+    return _weigh(b, _window(b.mat, level))
 
 
 def truncation_mismatches(mat: SuperMatrix, twists, letters, level: int) -> list:
@@ -200,26 +206,27 @@ def truncation_mismatches(mat: SuperMatrix, twists, letters, level: int) -> list
     of level <= level - 1; they must agree there exactly.
 
     The tensor side acts on each monomial mat + diag(lam) once per letter,
-    keeps the images inside that window, and reweights them by
-    v^(lam * twist) for every twist; it never calls act_letter, and the
-    label side never calls act_tensor.
+    keeps the images inside the window and reweights them for every twist.
+    The label side builds each target matrix's window once and reweights it
+    for every output label.  Neither side calls the other's action.
     """
     if level < 1:
         raise ValueError("comparison needs level >= 1")
     window = level - 1
-    monomials = [mat.add_diag(lam) for lam in _diag_shifts(mat.profile.size, level)]
+    monomials = [x for _, x in _window(mat, level)]
     images = [
         {x: act_tensor(letter, x).filter_keys(lambda y: y.diag_total() <= window) for x in monomials}
         for letter in letters
     ]
+    # Label matrices are diagonal-free, so truncating at the window is exact.
+    window_of = functools.cache(lambda a: _window(a, window))  # one per target matrix
     out = []
     for j in twists:
         b = SeriesBasis(mat, j)
         series = truncate(b, level)
         for letter, image in zip(letters, images):
-            # Label matrices are diagonal-free, so truncating at the window
-            # is exact.
-            if series.bind(image.__getitem__) != truncate_element(act_letter(letter, b), window):
+            label_side = act_letter(letter, b).bind(lambda t: _weigh(t, window_of(t.mat)))
+            if series.bind(image.__getitem__) != label_side:
                 out.append((j, letter))
     return out
 
@@ -229,6 +236,12 @@ def compare_truncated(letter: GenLetter, b: SeriesBasis, level: int) -> bool:
     tensor action of the truncated series: truncation_mismatches on one
     twist and one letter."""
     return not truncation_mismatches(b.mat, (b.j,), (letter,), level)
+
+
+@functools.cache
+def _k_block(exps: tuple) -> Word:
+    """K_1^(exps_1) ... K_size^(exps_size), zero exponents omitted."""
+    return tuple(k_letter(i, x) for i, x in enumerate(exps, 1) if x)
 
 
 def monomial_word(mat: SuperMatrix, j) -> Word:
@@ -244,12 +257,8 @@ def monomial_word(mat: SuperMatrix, j) -> Word:
         for row in range(col + 1, size + 1):
             amount = mat.entry(row, col)
             if amount:
-                letters.extend(
-                    f_letter(idx, amount) for idx in range(row - 1, col - 1, -1)
-                )
-    for i in range(1, size + 1):
-        if j[i - 1]:
-            letters.append(k_letter(i, j[i - 1]))
+                letters.extend(f_letter(idx, amount) for idx in range(row - 1, col - 1, -1))
+    letters.extend(_k_block(j))
     for col in range(size, 1, -1):
         for row in range(col - 1, 0, -1):
             amount = mat.entry(row, col)
@@ -261,33 +270,33 @@ def monomial_word(mat: SuperMatrix, j) -> Word:
 def leading_decompose(x: LinComb, mat: SuperMatrix):
     """Split off the part of x sitting at the matrix mat (all twists) from
     the strictly lower remainder; reject inputs with labels not below mat."""
-    lead = {}
-    rest = {}
+    below = dominated_by(mat)
+    lead, rest = {}, {}
     for b, c in x:
         if b.mat == mat:
             lead[b] = c
-        elif preceq(b.mat, mat):
+        elif below(b.mat):
             rest[b] = c
         else:
             raise ValueError(f"label {b!r} is not dominated by the leading matrix")
     return LinComb._raw(lead), LinComb._raw(rest)
 
 
+# (A, 0) -> its expansion, one (coefficient, F block, K exponents, E block,
+# signed weight) per word; twisted labels are derived from it (see _words).
 _EXPAND_CACHE: dict = {}
 
 
-def expand_as_words(mat: SuperMatrix, j) -> tuple:
-    """Write the label (A, j) as a combination of generator words applied to
-    O(0): act with the label's own word, peel off the unit leading term, and
-    eliminate the strictly lower remainder recursively.  Returns a tuple of
-    (coefficient, word) pairs."""
-    key = SeriesBasis(mat, j)
+def _untwisted(mat: SuperMatrix) -> tuple:
+    """Expand (A, 0): act with its own word on O(0), peel off the unit
+    leading term, and expand the strictly lower remainder recursively."""
+    m, size = mat.profile.m, mat.profile.size
+    key = SeriesBasis._make(mat, (0,) * size)
     hit = _EXPAND_CACHE.get(key)
     if hit is not None:
         return hit
-    word = monomial_word(mat, j)
-    x = act_word(word, LinComb.single(one_label(mat.profile)))
-    lead, rest = leading_decompose(x, mat)
+    word = monomial_word(mat, key.j)
+    lead, rest = leading_decompose(act_word(word, LinComb.single(one_label(mat.profile))), mat)
     if len(lead) != 1:
         raise RuntimeError(f"leading part of {key!r} is not a single label")
     (lead_key, u), = lead.terms.items()
@@ -295,18 +304,42 @@ def expand_as_words(mat: SuperMatrix, j) -> tuple:
         raise RuntimeError(f"leading twist mismatch: {lead_key!r} != {key!r}")
     if u.as_unit_monomial() is None:
         raise RuntimeError(f"leading coefficient {u!r} is not +-v^c")
-    out = (LinComb.single(word) - rest.bind(_words)).scale(u.inv())
-    result = tuple(
-        (c, w)
-        for w, c in sorted(out.terms.items(), key=lambda kv: (len(kv[0]), word_text(kv[0])))
-    )
-    _EXPAND_CACHE[key] = result
+    result = []
+    for w, c in (LinComb.single(word) - rest.bind(_words)).scale(u.inv()):
+        # Every word is some monomial_word: F letters, K letters, E letters.
+        kinds = [letter.kind for letter in w]
+        f_end, e_start = kinds.count(F), len(w) - kinds.count(E)
+        exps, weight = [0] * size, [mat.row_sum(i) for i in range(1, size + 1)]
+        for letter in w[f_end:e_start]:
+            exps[letter.index - 1] = letter.power
+        for letter in w[:f_end]:
+            weight[letter.index - 1] += letter.power
+            weight[letter.index] -= letter.power
+        signed = tuple(x if i < m else -x for i, x in enumerate(weight))
+        result.append((c, w[:f_end], tuple(exps), w[e_start:], signed))
+    _EXPAND_CACHE[key] = result = tuple(result)
     return result
 
 
 def _words(b: SeriesBasis) -> LinComb:
-    """The cached expansion of a label, as a combination keyed by word."""
-    return LinComb._raw({w: c for c, w in expand_as_words(b.mat, b.j)})
+    """The expansion of a label, as a combination keyed by word, derived
+    from that of (A, 0): K^j (A, 0) = v^(j * rowsums(A)) (A, j) and
+    K^j F_h^(a) = v^(-a j * alpha_h) F_h^(a) K^j, so a word F K^k E of (A, 0)
+    gives F K^(k + j) E, its coefficient times v^(-j * weight) with
+    weight = rowsums(A) + sum of a alpha_h over its F block (* is super_dot)."""
+    j, out = b.j, {}
+    for c, fs, exps, es, signed in _untwisted(b.mat):
+        d = sum(map(operator.mul, j, signed))
+        out[fs + _k_block(tuple(map(operator.add, exps, j))) + es] = c * VFunc.v_power(-d) if d else c
+    return LinComb._raw(out)
+
+
+def expand_as_words(mat: SuperMatrix, j) -> tuple:
+    """Write the label (A, j) as a combination of generator words applied to
+    O(0), derived from the expansion of (A, 0) (see _words).  Returns a
+    tuple of (coefficient, word) pairs, by word length, then text."""
+    out = sorted(_words(SeriesBasis(mat, j)), key=lambda kv: (len(kv[0]), word_text(kv[0])))
+    return tuple((c, w) for w, c in out)
 
 
 def multiply(x: LinComb, y: LinComb) -> LinComb:

@@ -169,6 +169,8 @@ def test_oracle_catches_a_dropped_remainder_word(monkeypatch):
         return x.filter_keys(lambda w: w != rest[0]) if rest else x
 
     monkeypatch.setattr(regular, "_words", planted)
+    # Expansions made under the plant stay in this dict, not the shared cache.
+    monkeypatch.setattr(regular, "_EXPAND_CACHE", {})
     failures = _associativity_failures(P21)
     for p in (P20, P21, P12):
         failures += _closed_form_failures(p)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from uglmn import regular
 from uglmn.linear import LinComb
 from uglmn.qcoeff import ONE, VFunc
 from uglmn.regular import (
@@ -34,7 +35,7 @@ from uglmn.superindex import (
     unit_matrix,
     zero_matrix,
 )
-from uglmn.words import e, f, k, word_from_text, word_text
+from uglmn.words import apply_words, e, f, k, word_from_text, word_text
 
 P11 = Profile(1, 1)
 P21 = Profile(2, 1)
@@ -316,6 +317,47 @@ def test_expand_round_trip_21_sample():
         assert total == unit(a, j), (a, j)
 
 
+def _direct_expansion(mat, j, memo):
+    """Reference: expand (A, j) at its own twist, with every lower label
+    expanded at its own twist too, as a combination keyed by word."""
+    key = label(mat, j)
+    if key not in memo:
+        word = monomial_word(mat, j)
+        lead, rest = leading_decompose(act_word(word, LinComb.single(one_label(mat.profile))), mat)
+        (lead_key, u), = lead.terms.items()
+        assert lead_key == key and u.as_unit_monomial() is not None
+        lower = rest.bind(lambda b: _direct_expansion(b.mat, b.j, memo))
+        memo[key] = (LinComb.single(word) - lower).scale(u.inv())
+    return memo[key]
+
+
+def test_derived_expansions_match_the_direct_algorithm():
+    # 36 + 1,728 + 1,728 labels, and the round trip at (2,1); 7-9 s on a
+    # 2-core box.  Only (A, 0) is expanded; every twist is derived from it.
+    memo = {}
+    o21 = LinComb.single(one_label(P21))
+    for p in (P11, P21, P12):
+        for a in all_offdiag(p, 1):
+            for j in all_j(p):
+                got = expand_as_words(a, j)
+                want = _direct_expansion(a, j, memo).terms.items()
+                want = sorted(want, key=lambda kv: (len(kv[0]), word_text(kv[0])))
+                assert got == tuple((c, w) for w, c in want), (a, j)
+                if p == P21:
+                    words = LinComb._raw({w: c for c, w in got})
+                    assert apply_words(words, o21, act_letter) == unit(a, j), (a, j)
+
+
+def test_only_untwisted_labels_are_expanded(monkeypatch):
+    monkeypatch.setattr(regular, "_EXPAND_CACHE", {})
+    mats = list(all_offdiag(P21, 1))
+    for a in mats:
+        for j in all_j(P21):
+            expand_as_words(a, j)
+    assert {b.mat for b in regular._EXPAND_CACHE} >= set(mats)
+    assert all(b.j == (0, 0, 0) for b in regular._EXPAND_CACHE)
+
+
 def _random_element(p, rng, mats, nterms=2):
     x = LinComb.zero()
     for _ in range(nterms):
@@ -411,8 +453,6 @@ def test_series_element_json_rejects_duplicate_labels():
 
 def test_expand_as_words_invariant_is_an_exception(monkeypatch):
     # A broken leading term raises an explicit error, also under python -O.
-    import uglmn.regular as regular
-
     monkeypatch.setattr(regular, "_EXPAND_CACHE", {})
     monkeypatch.setattr(regular, "monomial_word", lambda mat, j: ())
     with pytest.raises(RuntimeError):

@@ -16,6 +16,7 @@ import random
 import pytest
 
 from uglmn import regular, suites
+from uglmn.linear import LinComb
 from uglmn.regular import SeriesBasis, compare_truncated
 from uglmn.relcheck import (
     EMPTY,
@@ -35,7 +36,7 @@ from uglmn.suites import (
     tensor_agreement,
 )
 from uglmn.superindex import Profile, SuperMatrix, all_matrices, all_offdiag
-from uglmn.words import E
+from uglmn.words import E, K
 
 P11 = Profile(1, 1)
 P21 = Profile(2, 1)
@@ -135,6 +136,24 @@ def test_series_grid_catches_a_lost_label_term(monkeypatch):
     assert report.failures
 
 
+def _shift_the_second_quotient_term(monkeypatch):
+    # The second difference-quotient term, the only one with twist
+    # j - e_h - e_(h+1), is shifted by -2 along e_(h+1) instead of -1.  Only
+    # its twist changes, so only the weights v^(lam * j') of its window show it.
+    act = regular.act_letter
+
+    def planted(letter, b, *args, **kwargs):
+        res = act(letter, b, *args, **kwargs)
+        if letter.kind == K:
+            return res
+        h = letter.index
+        low = regular._shift_j(regular._shift_j(b.j, h, -1), h + 1, -1)
+        twist = regular._shift_j(low, h + 1, -1)
+        return LinComb._raw({(SeriesBasis(t.mat, twist) if t.j == low else t): c for t, c in res})
+
+    monkeypatch.setattr(regular, "act_letter", planted)
+
+
 def _reference_failures(p, bound, twists, level):
     """The truncation grid's failures, checked one (matrix, twist, letter)
     triple at a time: act on every monomial of the label's truncation and
@@ -146,13 +165,15 @@ def _reference_failures(p, bound, twists, level):
             for letter in generator_letters(p):
                 lhs = regular.truncate(b, level).bind(lambda mat: regular.act_tensor(letter, mat))
                 lhs = lhs.filter_keys(lambda mat: mat.diag_total() <= level - 1)
-                rhs = regular.truncate_element(regular.act_letter(letter, b), level - 1)
+                rhs = regular.act_letter(letter, b).bind(lambda t: regular.truncate(t, level - 1))
                 if lhs != rhs:
                     failures.append({"generator": letter.text(), "A": a.to_json(), "j": list(j)})
     return failures
 
 
-@pytest.mark.parametrize("plant", [_flip_last_column, _lose_a_label_term])
+@pytest.mark.parametrize(
+    "plant", [_flip_last_column, _lose_a_label_term, _shift_the_second_quotient_term]
+)
 def test_series_grid_rejects_what_the_per_pair_check_rejects(monkeypatch, plant):
     twists = [(0, 0, 0), (1, -1, 0), (-1, 1, 1)]
     plant(monkeypatch)

@@ -90,7 +90,8 @@ def _memo_tables(tree) -> list:
 
 def test_source_memoizes_with_functools_cache():
     # A memo is a functools.cache, whose size cache_info() reports; the one
-    # dict cache left stores only successful expansions, keyed by the label.
+    # dict cache left stores only successful expansions of untwisted labels
+    # (A, 0), from which every twist is derived.
     found = []
     for path in sorted(pathlib.Path(uglmn.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
