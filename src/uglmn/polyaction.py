@@ -22,6 +22,7 @@ the two must agree.
 from __future__ import annotations
 
 import functools
+import operator
 from collections import namedtuple
 
 from .linear import LinComb, element_from_json
@@ -47,7 +48,7 @@ class DividedMonomial(namedtuple("DividedMonomial", "profile flavor exps")):
     def __new__(cls, profile: Profile, flavor: str, exps):
         if flavor not in (ZERO_ONE, ONE_ZERO):
             raise ValueError(f"unknown flavor {flavor!r}")
-        exps = tuple(int(x) for x in exps)
+        exps = tuple(map(operator.index, exps))
         if len(exps) != profile.size:
             raise ValueError(f"exponent vector must have length {profile.size}")
         for i, x in enumerate(exps, 1):

@@ -6,7 +6,9 @@ span of these labels is stable under the generator actions, which are given
 by explicit four-term formulas; the label O(0) generates everything, and
 pulling the action back along u -> u.O(0) turns the labels into a basis of
 the supergroup itself, with multiplication computed by expanding a label
-into a generator word.
+into generator words.  An expansion is a combination of labels (B, k), each
+standing for its word monomial_word(B, k); only (A, 0) is expanded, once
+per matrix, and every twist is derived from it.
 
 Truncating the series at a finite diagonal level gives an independent check:
 the explicit action must match the tensor-space action monomial by monomial
@@ -33,9 +35,10 @@ from .superindex import (
     json_ints,
     s_sign,
     sigma,
+    super_dot,
     zero_matrix,
 )
-from .words import E, F, K, GenLetter, Word, apply_word, apply_words, check_index, word_text
+from .words import E, K, GenLetter, Word, apply_word, apply_words, check_index, word_text
 from .words import e as e_letter
 from .words import f as f_letter
 from .words import k as k_letter
@@ -49,7 +52,7 @@ class SeriesBasis(namedtuple("SeriesBasis", "mat j")):
     def __new__(cls, mat: SuperMatrix, j):
         if not mat.is_offdiag():
             raise ValueError("series labels need a diagonal-free matrix")
-        j = tuple(int(x) for x in j)
+        j = tuple(map(operator.index, j))
         if len(j) != mat.profile.size:
             raise ValueError(f"twist vector must have length {mat.profile.size}")
         return tuple.__new__(cls, (mat, j))
@@ -251,17 +254,17 @@ def monomial_word(mat: SuperMatrix, j) -> Word:
     divided power are omitted.
     """
     j = SeriesBasis(mat, j).j
-    size = mat.profile.size
+    size, rows = mat.profile.size, mat.rows
     letters = []
     for col in range(1, size):
         for row in range(col + 1, size + 1):
-            amount = mat.entry(row, col)
+            amount = rows[row - 1][col - 1]
             if amount:
                 letters.extend(f_letter(idx, amount) for idx in range(row - 1, col - 1, -1))
     letters.extend(_k_block(j))
     for col in range(size, 1, -1):
         for row in range(col - 1, 0, -1):
-            amount = mat.entry(row, col)
+            amount = rows[row - 1][col - 1]
             if amount:
                 letters.extend(e_letter(idx, amount) for idx in range(row, col))
     return tuple(letters)
@@ -282,21 +285,14 @@ def leading_decompose(x: LinComb, mat: SuperMatrix):
     return LinComb._raw(lead), LinComb._raw(rest)
 
 
-# (A, 0) -> its expansion, one (coefficient, F block, K exponents, E block,
-# signed weight) per word; twisted labels are derived from it (see _words).
-_EXPAND_CACHE: dict = {}
-
-
-def _untwisted(mat: SuperMatrix) -> tuple:
-    """Expand (A, 0): act with its own word on O(0), peel off the unit
+@functools.cache
+def _untwisted(mat: SuperMatrix) -> LinComb:
+    """Expand (A, 0) over labels, each label (B, k) standing for its word
+    monomial_word(B, k): act with A's own word on O(0), peel off the unit
     leading term, and expand the strictly lower remainder recursively."""
-    m, size = mat.profile.m, mat.profile.size
-    key = SeriesBasis._make(mat, (0,) * size)
-    hit = _EXPAND_CACHE.get(key)
-    if hit is not None:
-        return hit
-    word = monomial_word(mat, key.j)
-    lead, rest = leading_decompose(act_word(word, LinComb.single(one_label(mat.profile))), mat)
+    key = SeriesBasis._make(mat, (0,) * mat.profile.size)
+    start = LinComb.single(one_label(mat.profile))
+    lead, rest = leading_decompose(act_word(monomial_word(mat, key.j), start), mat)
     if len(lead) != 1:
         raise RuntimeError(f"leading part of {key!r} is not a single label")
     (lead_key, u), = lead.terms.items()
@@ -304,40 +300,50 @@ def _untwisted(mat: SuperMatrix) -> tuple:
         raise RuntimeError(f"leading twist mismatch: {lead_key!r} != {key!r}")
     if u.as_unit_monomial() is None:
         raise RuntimeError(f"leading coefficient {u!r} is not +-v^c")
-    result = []
-    for w, c in (LinComb.single(word) - rest.bind(_words)).scale(u.inv()):
-        # Every word is some monomial_word: F letters, K letters, E letters.
-        kinds = [letter.kind for letter in w]
-        f_end, e_start = kinds.count(F), len(w) - kinds.count(E)
-        exps, weight = [0] * size, [mat.row_sum(i) for i in range(1, size + 1)]
-        for letter in w[f_end:e_start]:
-            exps[letter.index - 1] = letter.power
-        for letter in w[:f_end]:
-            weight[letter.index - 1] += letter.power
-            weight[letter.index] -= letter.power
-        signed = tuple(x if i < m else -x for i, x in enumerate(weight))
-        result.append((c, w[:f_end], tuple(exps), w[e_start:], signed))
-    _EXPAND_CACHE[key] = result = tuple(result)
-    return result
+    return (LinComb.single(key) - rest.bind(_coords)).scale(u.inv())
+
+
+@functools.cache
+def _lowering_weight(mat: SuperMatrix) -> tuple:
+    """Sum of B_rc (e_c - e_r) below the diagonal, or of a alpha_h over the
+    F_h^(a) of monomial_word(B, k); odd entries negated as in _window."""
+    rows, m = mat.rows, mat.profile.m
+    lower = [sum(r[i] for r in rows[i + 1:]) - sum(rows[i][:i]) for i in range(len(rows))]
+    return tuple(lower[:m] + [-x for x in lower[m:]])
+
+
+def _coords(b: SeriesBasis) -> LinComb:
+    """The expansion of (A, j), derived from that of (A, 0) by
+    K^j (A, 0) = v^(j * rowsums(A)) (A, j) and K^j F_h^(a) =
+    v^(-a j * alpha_h) F_h^(a) K^j: a term (B, k) becomes (B, k + j) times
+    v^(-j * (rowsums(A) + _lowering_weight(B))), * the super_dot."""
+    a, j = b.mat, b.j
+    x = _untwisted(a)
+    if not any(j):
+        return x
+    rows, out = super_dot(j, tuple(map(sum, a.rows)), a.profile), {}
+    for t, c in x:
+        d = rows + sum(map(operator.mul, j, _lowering_weight(t.mat)))
+        out[SeriesBasis._make(t.mat, tuple(map(operator.add, t.j, j)))] = c * VFunc.v_power(-d) if d else c
+    return LinComb._raw(out)
 
 
 def _words(b: SeriesBasis) -> LinComb:
-    """The expansion of a label, as a combination keyed by word, derived
-    from that of (A, 0): K^j (A, 0) = v^(j * rowsums(A)) (A, j) and
-    K^j F_h^(a) = v^(-a j * alpha_h) F_h^(a) K^j, so a word F K^k E of (A, 0)
-    gives F K^(k + j) E, its coefficient times v^(-j * weight) with
-    weight = rowsums(A) + sum of a alpha_h over its F block (* is super_dot)."""
-    j, out = b.j, {}
-    for c, fs, exps, es, signed in _untwisted(b.mat):
-        d = sum(map(operator.mul, j, signed))
-        out[fs + _k_block(tuple(map(operator.add, exps, j))) + es] = c * VFunc.v_power(-d) if d else c
-    return LinComb._raw(out)
+    """The expansion of a label keyed by word.  Index ascents (F) and descents
+    (E) separate a word's runs, so distinct labels give distinct words."""
+    return LinComb._raw({monomial_word(t.mat, t.j): c for t, c in _coords(b)})
 
 
 def expand_as_words(mat: SuperMatrix, j) -> tuple:
     """Write the label (A, j) as a combination of generator words applied to
-    O(0), derived from the expansion of (A, 0) (see _words).  Returns a
-    tuple of (coefficient, word) pairs, by word length, then text."""
+    O(0): the words monomial_word(B, k) of the labels (B, k) of its
+    expansion, which is derived from that of (A, 0) (see _coords).  Returns
+    a tuple of (coefficient, word) pairs, by word length, then text.
+
+    >>> a = SuperMatrix(Profile(1, 1), ((0, 1), (1, 0)))
+    >>> [(c.text(), word_text(w)) for c, w in expand_as_words(a, (1, 0))]
+    [('(1)/(v^2 - 1)', 'K2'), ('(-1)/(v^2 - 1)', 'K2^-1'), ('v^-2', 'F1 K1 E1')]
+    """
     out = sorted(_words(SeriesBasis(mat, j)), key=lambda kv: (len(kv[0]), word_text(kv[0])))
     return tuple((c, w) for w, c in out)
 

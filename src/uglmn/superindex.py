@@ -75,7 +75,7 @@ class SuperMatrix(namedtuple("SuperMatrix", "profile rows")):
     __slots__ = ()
 
     def __new__(cls, profile: Profile, rows):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(map(operator.index, r)) for r in rows)
         size = profile.size
         if len(rows) != size or any(len(r) != size for r in rows):
             raise ValueError(f"matrix must be {size}x{size}")

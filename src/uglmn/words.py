@@ -8,6 +8,7 @@ exponent, possibly negative.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import namedtuple
 
@@ -21,6 +22,7 @@ class GenLetter(namedtuple("GenLetter", "kind index power")):
     __slots__ = ()
 
     def __new__(cls, kind: str, index: int, power: int = 1):
+        index, power = operator.index(index), operator.index(power)
         if kind not in (E, F, K):
             raise ValueError(f"unknown generator kind {kind!r}")
         if index < 1:

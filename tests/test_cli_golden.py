@@ -14,6 +14,7 @@ import os
 import sys
 
 from uglmn.cli import main
+from uglmn.qcoeff import VFunc
 
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "cli_golden.json")
 
@@ -134,6 +135,26 @@ def record() -> None:
         json.dump(entries, fh, indent=0)
         fh.write("\n")
     print(f"recorded {len(entries)} cases to {CORPUS}")
+
+
+def _coefficients(obj) -> list:
+    """Every {"num", "den"} object inside a JSON value."""
+    if isinstance(obj, dict):
+        if set(obj) == {"num", "den"}:
+            return [obj]
+        obj = list(obj.values())
+    return [c for x in obj for c in _coefficients(x)] if isinstance(obj, list) else []
+
+
+def test_printed_coefficients_read_back():
+    # Every coefficient the corpus prints is read by from_json, whose input
+    # bounds must admit it, and prints again the same.
+    with open(CORPUS, encoding="utf-8") as fh:
+        corpus = json.load(fh)
+    coeffs = [c for case in corpus if case["code"] == 0 for c in _coefficients(json.loads(case["stdout"]))]
+    assert len(coeffs) > 1000
+    for c in coeffs:
+        assert VFunc.from_json(c).to_json() == c
 
 
 def test_cli_output_matches_recorded_corpus():

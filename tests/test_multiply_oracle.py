@@ -1,5 +1,6 @@
 """multiply and Horner evaluation against routes that do not share them:
-word by word, the rank-one closed forms, the odd squares and associativity.
+word by word, the rank-one closed forms, the odd squares, associativity and
+the commutation formula of E_h^(a) and F_h^(b) on the labels.
 
 The closed forms are those of Lusztig (Introduction to Quantum Groups, 1993)
 carried to each simple root h: for even h, E_h^(a) E_h^(b) = [a+b choose a]
@@ -14,10 +15,10 @@ import pytest
 
 from uglmn import regular
 from uglmn.linear import LinComb
-from uglmn.qcoeff import ONE, VFunc, quantum_factorial
+from uglmn.qcoeff import ONE, ZERO, VFunc, quantum_factorial, v_sub
 from uglmn.regular import SeriesBasis, act_letter, act_word, multiply, one_label
 from uglmn.superindex import Profile, all_offdiag, zero_matrix
-from uglmn.words import apply_word, apply_words, e, f, k
+from uglmn.words import E, K, apply_word, apply_words, e, f, k
 
 P11 = Profile(1, 1)
 P20 = Profile(2, 0)
@@ -109,6 +110,78 @@ def _associativity_failures(p: Profile) -> list:
     return out
 
 
+def _bracket(h: int, m: int, c: int, t: int) -> dict:
+    """Lusztig's [K~_h; c; t] as {r: coefficient of K~_h^r}: the product over
+    s = 1..t of (K~ v_h^(c-s+1) - K~^-1 v_h^(-c+s-1)) / (v_h^s - v_h^-s)."""
+    out = {0: ONE}
+    for s in range(1, t + 1):
+        gap = (v_sub(h, s, m) - v_sub(h, -s, m)).inv()
+        up, down = v_sub(h, c - s + 1, m) * gap, -v_sub(h, s - 1 - c, m) * gap
+        step = {}
+        for r, x in out.items():
+            step[r + 1] = step.get(r + 1, ZERO) + x * up
+            step[r - 1] = step.get(r - 1, ZERO) + x * down
+        out = step
+    return out
+
+
+def _commutation(h: int, m: int, a: int, b: int) -> LinComb:
+    """E_h^(a) F_h^(b) - sum_t F_h^(b-t) [K~_h; 2t-a-b; t] E_h^(a-t), with
+    K~_h = K_h K_(h+1)^-1, as a word-keyed combination (Lusztig, Cor. 3.1.9)."""
+    out = LinComb.single((e(h, a), f(h, b)))
+    for t in range(min(a, b) + 1):
+        fs = (f(h, b - t),) if b > t else ()
+        es = (e(h, a - t),) if a > t else ()
+        for r, c in _bracket(h, m, 2 * t - a - b, t).items():
+            ks = (k(h, r), k(h + 1, -r)) if r else ()
+            out = out - LinComb.single(fs + ks + es, c)
+    return out
+
+
+def _commutation_failures(p: Profile, act=act_letter) -> list:
+    """(h, a, b, label) where the formula leaves a residual, at every even
+    h and a, b <= 3, on eight seeded labels with entries <= 2."""
+    rng = random.Random(1701)
+    mats = list(all_offdiag(p, 2))
+    labels = [
+        SeriesBasis(rng.choice(mats), tuple(rng.randint(-1, 1) for _ in range(p.size)))
+        for _ in range(8)
+    ]
+    out = []
+    for h in range(1, p.size):
+        if h == p.m:
+            continue  # odd root: the formula reduces to QG3 of the relation suites
+        for a in (1, 2, 3):
+            for b in (1, 2, 3):
+                poly = _commutation(h, p.m, a, b)
+                for x in labels:
+                    if not apply_words(poly, LinComb.single(x), act).is_zero():
+                        out.append((h, a, b, x))
+    return out
+
+
+@pytest.mark.parametrize("p", [P20, P21, P12, P22])
+def test_commutation_formula_on_labels(p):
+    assert not _commutation_failures(p)
+
+
+def _flipped_difference_quotient(letter, b, signed=False):
+    """act_letter with the difference-quotient term negated: the terms at
+    A minus a unit in the (source, destination) slot, which no other term
+    reaches."""
+    out = act_letter(letter, b, signed)
+    if letter.kind == K:
+        return out
+    h = letter.index
+    src, dst = (h + 1, h) if letter.kind == E else (h, h + 1)
+    emptied = b.mat.shift(((src, dst, -1),)) if b.mat.entry(src, dst) else None
+    return LinComb._raw({t: -c if t.mat == emptied else c for t, c in out})
+
+
+def test_commutation_formula_catches_a_flipped_difference_quotient():
+    assert _commutation_failures(P21, _flipped_difference_quotient)
+
+
 @pytest.mark.parametrize("p", [P20, P21, P12, P22])
 def test_rank_one_divided_powers(p):
     assert not _closed_form_failures(p)
@@ -157,7 +230,7 @@ def test_multiply_shares_leftmost_letters(monkeypatch):
     assert horner < 0.5 * by_word, (horner, by_word)  # 4187 against 12110
 
 
-def test_oracle_catches_a_dropped_remainder_word(monkeypatch):
+def test_oracle_catches_a_dropped_remainder_word(monkeypatch, fresh_expansions):
     # Drop one lower word from every expansion that has one: multiply then
     # computes a wrong product, which the checks above must notice.
     words = regular._words
@@ -169,8 +242,6 @@ def test_oracle_catches_a_dropped_remainder_word(monkeypatch):
         return x.filter_keys(lambda w: w != rest[0]) if rest else x
 
     monkeypatch.setattr(regular, "_words", planted)
-    # Expansions made under the plant stay in this dict, not the shared cache.
-    monkeypatch.setattr(regular, "_EXPAND_CACHE", {})
     failures = _associativity_failures(P21)
     for p in (P20, P21, P12):
         failures += _closed_form_failures(p)

@@ -1,6 +1,5 @@
 """Exact coefficient arithmetic: canonical forms, quantum integers, evaluation."""
 
-import doctest
 import inspect
 import json
 import random
@@ -108,11 +107,6 @@ def test_quantum_integer_at_one():
     # The canonical form of [i] has denominator v^(i-1), so v = 1 is not a pole.
     for i in range(0, 12):
         assert quantum_integer(i).evaluate(1) == i
-
-
-def test_module_doctests_run():
-    result = doctest.testmod(qcoeff)
-    assert result.failed == 0 and result.attempted >= 4
 
 
 def _random_vfunc(rng: random.Random) -> VFunc:
@@ -369,7 +363,7 @@ def test_vfunc_against_sympy_cancel():
     check()
 
 
-def test_hot_path_runs_no_euclid(monkeypatch):
+def test_hot_path_runs_no_euclid(monkeypatch, fresh_expansions):
     # Every denominator the action computes is a v-power times a product of
     # cyclotomic polynomials, so relations, truncations and products never
     # run a polynomial gcd.
@@ -387,7 +381,6 @@ def test_hot_path_runs_no_euclid(monkeypatch):
         return gcd(self, other)
 
     monkeypatch.setattr(VPoly, "gcd", counted)
-    monkeypatch.setattr(regular, "_EXPAND_CACHE", {})
     p21 = Profile(2, 1)
     assert full_suite(series_handle(p21, 1, [(0, 1, -1), (1, -1, 0), (-1, 0, 1)])).all_pass
     assert series_truncation_agreement(Profile(1, 1), 1, [(0, 0), (1, -1)], 3, threads=1).all_pass
@@ -476,6 +469,52 @@ def _random_poly(rng, top):
 def _exact_types(p: VPoly) -> bool:
     """Integral coefficients are stored as int."""
     return all(type(x) is int or x.denominator != 1 for x in p.c.values())
+
+
+def _act_k1_on(coeff: dict, capsys) -> tuple:
+    """Exit code, stderr lines and seconds of act K1 on one (1,1) label with
+    the given JSON coefficient."""
+    from uglmn.cli import main
+
+    term = {"coeff": coeff, "A": {"m": 1, "n": 1, "entries": [[0, 0], [0, 0]]}, "j": [0, 0]}
+    start = time.perf_counter()
+    code = main(["act", "--m", "1", "--n", "1", "--gen", "K1", "--input", json.dumps([term])])
+    return code, capsys.readouterr().err.splitlines(), time.perf_counter() - start
+
+
+@pytest.mark.parametrize(
+    "den",
+    [{"4000": "1", "2000": "3", "0": "1"}, {"4000": "1", "0": "1"}],
+    ids=["no-phi-product", "phi-product"],
+)
+def test_high_degree_json_denominator_is_rejected_quickly(den, capsys):
+    # Trial division classifies such a denominator in time about cubic in its
+    # degree (4.7 s for v^2000 + 1); above JSON_MAX_SPAN it is an input error.
+    code, err, seconds = _act_k1_on({"num": {"0": "1"}, "den": den}, capsys)
+    assert seconds < 2 and code == 2 and len(err) == 1, (seconds, code, err)
+
+
+def test_json_span_bound_applies_to_general_denominators_only(capsys):
+    top = qcoeff.JSON_MAX_SPAN
+    # v^top + 1 is Phi_(2 top), at the bound; one degree more is rejected.
+    assert VFunc.from_json({"num": {"1": "1"}, "den": {str(top): "1", "0": "1"}}).phi == ((2 * top, 1),)
+    with pytest.raises(ValueError):
+        VFunc.from_json({"num": {str(top + 1): "1", "0": "1"}, "den": {"1": "1", "0": "1"}})
+    # A Laurent polynomial, over one term, is read at any span.
+    code, err, _ = _act_k1_on({"num": {"4000": "1", "0": "-1"}, "den": {"2": "1"}}, capsys)
+    assert code == 0 and err == []
+
+
+def test_euclid_on_dense_sides_of_the_largest_json_degree():
+    # Monic remainders keep the fractions from compounding, which made these
+    # sides take 36 s (2-core box, Python 3.11).
+    rng = random.Random(128)
+    coeffs = (-3, -2, -1, 1, 2, 3)
+    sides = [VPoly({e: rng.choice(coeffs) for e in range(qcoeff.JSON_MAX_SPAN + 1)}) for _ in "nd"]
+    start = time.perf_counter()
+    x = VFunc(*sides)
+    assert time.perf_counter() - start < 5
+    assert x.num * sides[1] == x.den * sides[0]
 
 
 def test_divmod_is_exact_long_division():

@@ -348,14 +348,24 @@ def test_derived_expansions_match_the_direct_algorithm():
                     assert apply_words(words, o21, act_letter) == unit(a, j), (a, j)
 
 
-def test_only_untwisted_labels_are_expanded(monkeypatch):
-    monkeypatch.setattr(regular, "_EXPAND_CACHE", {})
+def test_each_matrix_is_expanded_once(fresh_expansions):
+    # All 64 x 27 labels, and the lower labels their expansions reach, are
+    # derived from one expansion per matrix: the 64, and 30 lower matrices.
     mats = list(all_offdiag(P21, 1))
     for a in mats:
         for j in all_j(P21):
             expand_as_words(a, j)
-    assert {b.mat for b in regular._EXPAND_CACHE} >= set(mats)
-    assert all(b.j == (0, 0, 0) for b in regular._EXPAND_CACHE)
+    info = regular._untwisted.cache_info()
+    assert info.misses == info.currsize == 94
+
+
+def test_distinct_labels_have_distinct_words():
+    # Expansions are stored by label and read by word, which needs the
+    # monomial words of distinct labels to differ.
+    for p, bound in ((P21, 2), (Profile(2, 2), 1)):
+        twists = ((0,) * p.size, (1,) + (-1,) * (p.size - 1))
+        labels = [label(a, j) for a in all_offdiag(p, bound) for j in twists]
+        assert len({monomial_word(b.mat, b.j) for b in labels}) == len(labels)
 
 
 def _random_element(p, rng, mats, nterms=2):
@@ -451,9 +461,8 @@ def test_series_element_json_rejects_duplicate_labels():
         series_element_from_json([term, term])
 
 
-def test_expand_as_words_invariant_is_an_exception(monkeypatch):
+def test_expand_as_words_invariant_is_an_exception(monkeypatch, fresh_expansions):
     # A broken leading term raises an explicit error, also under python -O.
-    monkeypatch.setattr(regular, "_EXPAND_CACHE", {})
     monkeypatch.setattr(regular, "monomial_word", lambda mat, j: ())
     with pytest.raises(RuntimeError):
         expand_as_words(unit_matrix(P11, 1, 2), (0, 0))

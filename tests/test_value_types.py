@@ -1,7 +1,11 @@
 """Basis keys and generator letters are immutable tuples: hashing, equality
-and pickling come from `tuple`, and no invariant is an `assert`."""
+and pickling come from `tuple`, and no invariant is an `assert`.  Checks on
+the source of every module: no assert, no hand-kept memo, and doctests that
+run."""
 
 import ast
+import doctest
+import importlib
 import pathlib
 import pickle
 
@@ -11,7 +15,7 @@ import uglmn
 from uglmn.polyaction import ZERO_ONE, DividedMonomial
 from uglmn.regular import SeriesBasis
 from uglmn.superindex import Profile, SuperMatrix
-from uglmn.words import K, GenLetter
+from uglmn.words import E, K, GenLetter
 
 P21 = Profile(2, 1)
 ROWS = ((0, 1, 1), (2, 0, 0), (1, 0, 0))
@@ -46,6 +50,22 @@ def test_value_type_contract(name):
     assert type(c) is type(a) and c == a and hash(c) == hash(a)
 
 
+# Floats where integers belong, which int() would truncate: 0.7 reads 0.
+NON_INTEGERS = {
+    "SuperMatrix": [lambda: SuperMatrix(Profile(1, 1), [[0, 0.7], [0, 0]])],
+    "SeriesBasis": [lambda: SeriesBasis(SuperMatrix(Profile(1, 1), [[0, 1], [0, 0]]), (1.5, 0))],
+    "DividedMonomial": [lambda: DividedMonomial(P21, ZERO_ONE, (2.0, 0, 1))],
+    "GenLetter": [lambda: GenLetter(K, 1, 0.5), lambda: GenLetter(E, 1.0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGERS))
+def test_constructor_rejects_non_integers(name):
+    for build in NON_INTEGERS[name]:
+        with pytest.raises(TypeError):
+            build()
+
+
 def test_keys_of_different_kinds_are_unequal():
     rows = ((0, 1, 1), (0, 0, 0), (1, 0, 0))
     mat, label = SuperMatrix(P21, rows), SeriesBasis(SuperMatrix(P21, rows), (0, 0, 0))
@@ -59,6 +79,17 @@ def test_source_has_no_assert():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert found == []
+
+
+def test_module_doctests_run():
+    # Every module's documented examples run as written.
+    attempted = {}
+    for path in sorted(pathlib.Path(uglmn.__file__).parent.glob("*.py")):
+        name = "uglmn" if path.stem == "__init__" else f"uglmn.{path.stem}"
+        result = doctest.testmod(importlib.import_module(name))
+        assert result.failed == 0, name
+        attempted[name] = result.attempted
+    assert attempted["uglmn.qcoeff"] >= 4 and attempted["uglmn.regular"] >= 2
 
 
 def _memo_tables(tree) -> list:
@@ -89,11 +120,9 @@ def _memo_tables(tree) -> list:
 
 
 def test_source_memoizes_with_functools_cache():
-    # A memo is a functools.cache, whose size cache_info() reports; the one
-    # dict cache left stores only successful expansions of untwisted labels
-    # (A, 0), from which every twist is derived.
+    # A memo is a functools.cache, whose size cache_info() reports.
     found = []
     for path in sorted(pathlib.Path(uglmn.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.stem}.{name}" for name in _memo_tables(tree)]
-    assert found == ["regular._EXPAND_CACHE"]
+    assert found == []
