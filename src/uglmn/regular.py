@@ -6,9 +6,12 @@ span of these labels is stable under the generator actions, which are given
 by explicit four-term formulas; the label O(0) generates everything, and
 pulling the action back along u -> u.O(0) turns the labels into a basis of
 the supergroup itself, with multiplication computed by expanding a label
-into generator words.  An expansion is a combination of labels (B, k), each
-standing for its word monomial_word(B, k); only (A, 0) is expanded, once
-per matrix, and every twist is derived from it.
+into generator words.  The twist j enters a generator's action on (A, j)
+only through a shift of the twist and one factor v^(+-j_i) per term, so the
+action is built once per (letter, matrix) as a template and evaluated at j.
+An expansion is a combination of labels (B, k), each standing for its word
+monomial_word(B, k); only (A, 0) is expanded, once per matrix, and every
+twist is derived from it.
 
 Truncating the series at a finite diagonal level gives an independent check:
 the explicit action must match the tensor-space action monomial by monomial
@@ -79,12 +82,25 @@ def unit(mat: SuperMatrix, j) -> LinComb:
     return LinComb.single(SeriesBasis(mat, j))
 
 
-def _shift_j(j: tuple, i: int, d: int) -> tuple:
-    return j[: i - 1] + (j[i - 1] + d,) + j[i:]
+def _twist_shift(size: int, *moves) -> tuple:
+    """The twist shift sum d e_i over the (i, d) moves."""
+    out = [0] * size
+    for i, d in moves:
+        out[i - 1] += d
+    return tuple(out)
 
 
-def act_letter(letter: GenLetter, b: SeriesBasis, signed: bool = False) -> LinComb:
-    """One generator on a label.
+# Bounded, at the smallest power of two above the benchmark workloads'
+# working sets (1,160 and 2,692 templates): unbounded, the (2,2) relation
+# suite over 1,500 labels at j = 0 built 99,194 and peaked at 136.2 MB RSS,
+# against 25.1 MB bounded and 18.1 MB with no memo.
+@functools.lru_cache(maxsize=4096)
+def _template(letter: GenLetter, a: SuperMatrix, signed: bool) -> tuple:
+    """The action of one letter on every label (a, j) at once, as terms
+    (target, shift, char, c): the term of (a, j) is c v^(+-j_|char|) at the
+    label (target, j + shift), with shift None for j itself and char 0 for
+    no j factor.  The twist enters the action only through these shifts and
+    characters, so act_letter evaluates the template at b.j.
 
     K_i^e scales by v_i^(e row_i sum) and shifts the twist by e e_i.  E_h
     moves a unit from row h+1 to row h, F_h from row h to row h+1, in four
@@ -100,35 +116,32 @@ def act_letter(letter: GenLetter, b: SeriesBasis, signed: bool = False) -> LinCo
     instead of sigma, taken on the source label for E and on each term's
     target label for F; everything else is identical.
     """
-    a = b.mat
     p = a.profile
     m, size = p.m, p.size
-    j = b.j
     check_index(letter, size)
     if letter.kind == K:
-        i = letter.index
-        coeff = v_sub(i, letter.power * a.row_sum(i), m)
-        return LinComb._raw({SeriesBasis._make(a, _shift_j(j, i, letter.power)): coeff})
+        i, e = letter.index, letter.power
+        return ((a, _twist_shift(size, (i, e)), 0, v_sub(i, e * a.row_sum(i), m)),)
     h = letter.index
     is_e = letter.kind == E
     src, dst = (h + 1, h) if is_e else (h, h + 1)
     stat = f_stat if is_e else g_stat
     row_src = a.rows[src - 1]
     row_dst = a.rows[dst - 1]
-    twisted = None  # j + e_dst - e_src, built on first use
-    # Every term lands on its own (target, twist) key, so terms are stored,
-    # never summed: column moves hit distinct columns, the two
-    # difference-quotient terms differ in their twist, and the (dst, src)
+    raised = _twist_shift(size, (dst, 1), (src, -1))
+    # Every term lands on its own (target, shift) pair, so the terms of one
+    # label have distinct keys: column moves hit distinct columns, the two
+    # difference-quotient terms differ in their shift, and the (dst, src)
     # move fills a third slot.
-    out: dict = {}
+    terms = []
 
-    def put(target, col, c, twist):
+    def put(target, col, shift, char, c):
         # Both sign statistics vanish unless h = m.
         if h == m:
             flip = s_sign(h, col, a if is_e else target) if signed else sigma(col, a)
             if flip & 1:
                 c = -c
-        out[SeriesBasis._make(target, twist)] = c
+        terms.append((target, shift, char, c))
 
     for i in range(1, size + 1):
         if i in (h, h + 1) or row_src[i - 1] < 1:
@@ -138,24 +151,32 @@ def act_letter(letter: GenLetter, b: SeriesBasis, signed: bool = False) -> LinCo
             continue  # odd entry would exceed 1: the series is zero
         c = v_sub(dst, stat(h, i, a), m) * quantum_integer(row_dst[i - 1] + 1)
         near = i < h if is_e else i > h + 1  # on the destination row's side
-        if near:
-            twisted = twisted or _shift_j(_shift_j(j, dst, 1), src, -1)
-            put(target, i, c, twisted)
-        else:
-            put(target, i, c, j)
+        put(target, i, raised if near else None, 0, c)
     if row_src[dst - 1] >= 1:
         # Emptying the (src, dst) slot turns the quantum bracket into a
-        # difference of two twists divided by v_dst - v_dst^{-1}.
+        # difference of two twists divided by v_dst - v_dst^{-1}; both
+        # carry v_dst^(-j_dst).
         target = a.shift(((src, dst, -1),))
-        c = v_sub(dst, stat(h, dst, a) - j[dst - 1], m) * v_gap_inv(dst, m)
-        twisted = twisted or _shift_j(_shift_j(j, dst, 1), src, -1)
-        put(target, dst, c, twisted)
-        put(target, dst, -c, _shift_j(_shift_j(j, h, -1), h + 1, -1))
+        c = v_sub(dst, stat(h, dst, a), m) * v_gap_inv(dst, m)
+        char = dst if dst > m else -dst
+        put(target, dst, raised, char, c)
+        put(target, dst, _twist_shift(size, (h, -1), (h + 1, -1)), char, -c)
     target = a.shift(((dst, src, 1),))
     if target is not None:
-        exp = stat(h, src, a) + (-j[src - 1] if h == m else j[src - 1])
-        c = v_sub(dst, exp, m) * quantum_integer(row_dst[src - 1] + 1)
-        put(target, src, c, j)
+        # The weight carries v_dst^(j_src), or v_dst^(-j_src) when h = m.
+        c = v_sub(dst, stat(h, src, a), m) * quantum_integer(row_dst[src - 1] + 1)
+        put(target, src, None, src if (h == m) == (dst > m) else -src, c)
+    return tuple(terms)
+
+
+def act_letter(letter: GenLetter, b: SeriesBasis, signed: bool = False) -> LinComb:
+    """One generator on a label: the letter's template on b.mat (see
+    _template) evaluated at the twist b.j."""
+    j, out = b.j, {}
+    for target, shift, char, c in _template(letter, b.mat, signed):
+        if char:
+            c = c * VFunc.v_power(j[char - 1] if char > 0 else -j[-char - 1])
+        out[SeriesBasis._make(target, j if shift is None else tuple(map(operator.add, j, shift)))] = c
     return LinComb._raw(out)
 
 
@@ -247,27 +268,38 @@ def _k_block(exps: tuple) -> Word:
     return tuple(k_letter(i, x) for i, x in enumerate(exps, 1) if x)
 
 
+@functools.cache
+def _fe_blocks(mat: SuperMatrix) -> tuple:
+    """The lowering and raising blocks of monomial_word(mat, j), which do not
+    depend on j."""
+    size, rows = mat.profile.size, mat.rows
+    lowering, raising = [], []
+    for col in range(1, size):
+        for row in range(col + 1, size + 1):
+            amount = rows[row - 1][col - 1]
+            if amount:
+                lowering.extend(f_letter(idx, amount) for idx in range(row - 1, col - 1, -1))
+    for col in range(size, 1, -1):
+        for row in range(col - 1, 0, -1):
+            amount = rows[row - 1][col - 1]
+            if amount:
+                raising.extend(e_letter(idx, amount) for idx in range(row, col))
+    return tuple(lowering), tuple(raising)
+
+
+def _word(b: SeriesBasis) -> Word:
+    """monomial_word of a label already validated."""
+    lowering, raising = _fe_blocks(b.mat)
+    return lowering + _k_block(b.j) + raising
+
+
 def monomial_word(mat: SuperMatrix, j) -> Word:
     """The generator word whose action on O(0) has leading label (A, j):
     lowering blocks column by column, the twist as K powers, then raising
     blocks from the last column down to the second.  Letters with zero
     divided power are omitted.
     """
-    j = SeriesBasis(mat, j).j
-    size, rows = mat.profile.size, mat.rows
-    letters = []
-    for col in range(1, size):
-        for row in range(col + 1, size + 1):
-            amount = rows[row - 1][col - 1]
-            if amount:
-                letters.extend(f_letter(idx, amount) for idx in range(row - 1, col - 1, -1))
-    letters.extend(_k_block(j))
-    for col in range(size, 1, -1):
-        for row in range(col - 1, 0, -1):
-            amount = rows[row - 1][col - 1]
-            if amount:
-                letters.extend(e_letter(idx, amount) for idx in range(row, col))
-    return tuple(letters)
+    return _word(SeriesBasis(mat, j))
 
 
 def leading_decompose(x: LinComb, mat: SuperMatrix):
@@ -331,7 +363,7 @@ def _coords(b: SeriesBasis) -> LinComb:
 def _words(b: SeriesBasis) -> LinComb:
     """The expansion of a label keyed by word.  Index ascents (F) and descents
     (E) separate a word's runs, so distinct labels give distinct words."""
-    return LinComb._raw({monomial_word(t.mat, t.j): c for t, c in _coords(b)})
+    return LinComb._raw({_word(t): c for t, c in _coords(b)})
 
 
 def expand_as_words(mat: SuperMatrix, j) -> tuple:

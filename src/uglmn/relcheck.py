@@ -26,7 +26,7 @@ from .superindex import (
     basis_vector,
     super_dot,
 )
-from .words import E, F, GenLetter, apply_words
+from .words import E, F, GenLetter, apply_plan, horner_plan
 from .words import e as e_letter
 from .words import f as f_letter
 from .words import k as k_letter
@@ -194,10 +194,11 @@ def check_relation(rel: Relation, handle: ActionHandle) -> RelationReport:
         return RelationReport(rel.label, NOT_APPLICABLE)
     checked = 0
     act = handle.act
+    plans = [horner_plan(poly) for poly in rel.polys]
     for key in handle.basis:
         start = LinComb.single(key)
-        for poly in rel.polys:
-            residual = apply_words(poly, start, act)
+        for plan in plans:
+            residual = apply_plan(plan, start, act)
             if not residual.is_zero():
                 return RelationReport(
                     rel.label,

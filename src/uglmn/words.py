@@ -105,20 +105,40 @@ def apply_word(word: Word, x: LinComb, act) -> LinComb:
     return x
 
 
-def apply_words(words: LinComb, x: LinComb, act) -> LinComb:
-    """sum_w c_w w(x) in Horner form: the words that begin with one letter
-    share its application, the costliest one, as it acts last.  Node p of the
-    trie of word prefixes holds sum_{w = p w'} c_w w'(x), and its last letter
-    acts once on that sum to feed its parent; a level at a time, longest
-    prefixes first, so the word length never bounds the stack."""
+def horner_plan(words: LinComb) -> tuple:
+    """The trie of word prefixes of sum_w c_w w, a level per prefix length,
+    longest first.  A level is (leaves, edges): leaves are the words (w, c_w)
+    of that length, and each edge (p, letter, q) joins a prefix p one letter
+    longer to its parent q = p minus its last letter, in the order of p's
+    level."""
     by_len: dict = {}
     for w, c in words:
         by_len.setdefault(len(w), []).append((w, c))
+    plan, longer = [], ()
+    for depth in range(max(by_len, default=-1), -1, -1):
+        leaves = tuple(by_len.get(depth, ()))
+        edges = tuple((p, p[-1], p[:-1]) for p in longer)
+        plan.append((leaves, edges))
+        longer = dict.fromkeys([w for w, _ in leaves] + [q for _, _, q in edges])
+    return tuple(plan)
+
+
+def apply_plan(plan: tuple, x: LinComb, act) -> LinComb:
+    """sum_w c_w w(x) from its horner_plan: the words that begin with one
+    letter share its application, the costliest one, as it acts last.  Node p
+    of the trie holds sum_{w = p w'} c_w w'(x), and its last letter acts once
+    on that sum to feed its parent; a level at a time, longest prefixes
+    first, so the word length never bounds the stack."""
     level: dict = {}  # prefix of the current length -> its node's sum
-    for depth in range(max(by_len, default=0), -1, -1):
-        up = {w: x.scale(c) for w, c in by_len.get(depth, ())}
-        for p, y in level.items():
-            y, q = apply_word(p[-1:], y, act), p[:-1]
+    for leaves, edges in plan:
+        up = {w: x.scale(c) for w, c in leaves}
+        for p, letter, q in edges:
+            y = apply_word((letter,), level[p], act)
             up[q] = up[q] + y if q in up else y
         level = up
     return level.get((), LinComb.zero())
+
+
+def apply_words(words: LinComb, x: LinComb, act) -> LinComb:
+    """sum_w c_w w(x) in Horner form (see apply_plan)."""
+    return apply_plan(horner_plan(words), x, act)

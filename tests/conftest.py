@@ -13,3 +13,13 @@ def fresh_expansions():
     regular._untwisted.cache_clear()
     yield
     regular._untwisted.cache_clear()
+
+
+@pytest.fixture
+def fresh_templates():
+    """An empty label-action template memo for the test, and none of its
+    entries after: a test that patches a helper the templates read must
+    neither read templates built before the patch nor leave its own behind."""
+    regular._template.cache_clear()
+    yield
+    regular._template.cache_clear()

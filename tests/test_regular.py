@@ -7,7 +7,7 @@ import pytest
 
 from uglmn import regular
 from uglmn.linear import LinComb
-from uglmn.qcoeff import ONE, VFunc
+from uglmn.qcoeff import ONE, VFunc, quantum_integer, v_gap_inv, v_sub
 from uglmn.regular import (
     SeriesBasis,
     act_element,
@@ -30,12 +30,16 @@ from uglmn.superindex import (
     SuperMatrix,
     all_offdiag,
     basis_vector,
+    f_stat,
+    g_stat,
+    s_sign,
+    sigma,
     strictly_lower,
     super_dot,
     unit_matrix,
     zero_matrix,
 )
-from uglmn.words import apply_words, e, f, k, word_from_text, word_text
+from uglmn.words import E, K, apply_words, check_index, e, f, k, word_from_text, word_text
 
 P11 = Profile(1, 1)
 P21 = Profile(2, 1)
@@ -156,6 +160,115 @@ def test_odd_square_vanishes_on_labels():
             b = label(a, j)
             assert act_element(e(1), act_letter(e(1), b)).is_zero()
             assert act_element(f(1), act_letter(f(1), b)).is_zero()
+
+
+def _shift_j(j: tuple, i: int, d: int) -> tuple:
+    return j[: i - 1] + (j[i - 1] + d,) + j[i:]
+
+
+def _reference_act_letter(letter, b, signed=False):
+    """Reference for act_letter: every term computed directly at the twist
+    b.j, with no template shared between twists."""
+    a = b.mat
+    p = a.profile
+    m, size = p.m, p.size
+    j = b.j
+    check_index(letter, size)
+    if letter.kind == K:
+        i = letter.index
+        coeff = v_sub(i, letter.power * a.row_sum(i), m)
+        return LinComb._raw({SeriesBasis._make(a, _shift_j(j, i, letter.power)): coeff})
+    h = letter.index
+    is_e = letter.kind == E
+    src, dst = (h + 1, h) if is_e else (h, h + 1)
+    stat = f_stat if is_e else g_stat
+    row_src = a.rows[src - 1]
+    row_dst = a.rows[dst - 1]
+    twisted = None  # j + e_dst - e_src, built on first use
+    # Every term lands on its own (target, twist) key, so terms are stored,
+    # never summed: column moves hit distinct columns, the two
+    # difference-quotient terms differ in their twist, and the (dst, src)
+    # move fills a third slot.
+    out: dict = {}
+
+    def put(target, col, c, twist):
+        # Both sign statistics vanish unless h = m.
+        if h == m:
+            flip = s_sign(h, col, a if is_e else target) if signed else sigma(col, a)
+            if flip & 1:
+                c = -c
+        out[SeriesBasis._make(target, twist)] = c
+
+    for i in range(1, size + 1):
+        if i in (h, h + 1) or row_src[i - 1] < 1:
+            continue
+        target = a.shift(((dst, i, 1), (src, i, -1)))
+        if target is None:
+            continue  # odd entry would exceed 1: the series is zero
+        c = v_sub(dst, stat(h, i, a), m) * quantum_integer(row_dst[i - 1] + 1)
+        near = i < h if is_e else i > h + 1  # on the destination row's side
+        if near:
+            twisted = twisted or _shift_j(_shift_j(j, dst, 1), src, -1)
+            put(target, i, c, twisted)
+        else:
+            put(target, i, c, j)
+    if row_src[dst - 1] >= 1:
+        # Emptying the (src, dst) slot turns the quantum bracket into a
+        # difference of two twists divided by v_dst - v_dst^{-1}.
+        target = a.shift(((src, dst, -1),))
+        c = v_sub(dst, stat(h, dst, a) - j[dst - 1], m) * v_gap_inv(dst, m)
+        twisted = twisted or _shift_j(_shift_j(j, dst, 1), src, -1)
+        put(target, dst, c, twisted)
+        put(target, dst, -c, _shift_j(_shift_j(j, h, -1), h + 1, -1))
+    target = a.shift(((dst, src, 1),))
+    if target is not None:
+        exp = stat(h, src, a) + (-j[src - 1] if h == m else j[src - 1])
+        c = v_sub(dst, exp, m) * quantum_integer(row_dst[src - 1] + 1)
+        put(target, src, c, j)
+    return LinComb._raw(out)
+
+
+def _template_mismatches(grids):
+    """The (letter, label, signed) triples of the grids, (profile, entry
+    bound) pairs, where act_letter differs from the direct reference; every
+    E/F letter and K_i^(+-1), K_i^(+-2), every twist in {-2, ..., 2}^size.
+    Twists beyond {-1, 0, 1} separate a character v^(j_i) from v^(j_i^3)."""
+    out = []
+    for p, bound in grids:
+        letters = [x(h) for h in range(1, p.size) for x in (e, f)]
+        letters += [k(i, x) for i in range(1, p.size + 1) for x in (1, -1, 2, -2)]
+        twists = all_j(p, range(-2, 3))
+        for a in all_offdiag(p, bound):
+            for letter in letters:
+                for signed in (False, True):
+                    for j in twists:
+                        b = label(a, j)
+                        if act_letter(letter, b, signed) != _reference_act_letter(letter, b, signed):
+                            out.append((letter, b, signed))
+    return out
+
+
+def test_label_action_matches_the_direct_formulas():
+    # 2,000 + 256,000 + 576,000 + 256,000 comparisons.
+    grids = [(P11, 1), (P21, 1), (P21, 2), (P12, 1)]
+    assert _template_mismatches(grids) == []
+
+
+def test_direct_formulas_catch_a_flipped_character(monkeypatch):
+    # Negate the character index of the first term that has one: the j
+    # factor v^(j_i) becomes v^(-j_i), and nothing else changes.
+    template = regular._template
+
+    def planted(letter, a, signed):
+        terms = list(template(letter, a, signed))
+        for n, (target, shift, char, c) in enumerate(terms):
+            if char:
+                terms[n] = (target, shift, -char, c)
+                break
+        return tuple(terms)
+
+    monkeypatch.setattr(regular, "_template", planted)
+    assert _template_mismatches([(P11, 1)])
 
 
 def test_truncate_levels():

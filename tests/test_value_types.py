@@ -120,7 +120,7 @@ def _memo_tables(tree) -> list:
 
 
 def test_source_memoizes_with_functools_cache():
-    # A memo is a functools.cache, whose size cache_info() reports.
+    # A memo is a functools.cache or lru_cache, whose size cache_info() reports.
     found = []
     for path in sorted(pathlib.Path(uglmn.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
