@@ -9,6 +9,10 @@ the supergroup itself, with multiplication computed by expanding a label
 into generator words.  The twist j enters a generator's action on (A, j)
 only through a shift of the twist and one factor v^(+-j_i) per term, so the
 action is built once per (letter, matrix) as a template and evaluated at j.
+The template also acts on formal labels v^<char, j> (A, j + shift) with j
+left formal, so a relation check evaluates each matrix once for every twist:
+by the independence of the characters v^<char, j>, a zero formal residual
+is zero at every twist (see relcheck.check_relation).
 An expansion is a combination of labels (B, k), each standing for its word
 monomial_word(B, k); only (A, 0) is expanded, once per matrix, and every
 twist is derived from it.
@@ -73,6 +77,13 @@ class SeriesBasis(namedtuple("SeriesBasis", "mat j")):
         return f"({body})({','.join(map(str, self.j))})"
 
 
+class FormalLabel(namedtuple("FormalLabel", "mat shift char")):
+    """v^<char, j> (mat, j + shift) for a formal twist j: shift and char are
+    integer vectors, and at_twist evaluates the label at one j."""
+
+    __slots__ = ()
+
+
 def one_label(p: Profile) -> SeriesBasis:
     """The identity label O(0)."""
     return SeriesBasis._make(zero_matrix(p), (0,) * p.size)
@@ -100,7 +111,9 @@ def _template(letter: GenLetter, a: SuperMatrix, signed: bool) -> tuple:
     (target, shift, char, c): the term of (a, j) is c v^(+-j_|char|) at the
     label (target, j + shift), with shift None for j itself and char 0 for
     no j factor.  The twist enters the action only through these shifts and
-    characters, so act_letter evaluates the template at b.j.
+    characters, so act_letter evaluates the template at b.j, and act_formal
+    keeps j formal.  E/F letters must have divided power 1: a power a > 1 is
+    a ValueError, split into a letters by words.apply_word.
 
     K_i^e scales by v_i^(e row_i sum) and shifts the twist by e e_i.  E_h
     moves a unit from row h+1 to row h, F_h from row h to row h+1, in four
@@ -119,6 +132,8 @@ def _template(letter: GenLetter, a: SuperMatrix, signed: bool) -> tuple:
     p = a.profile
     m, size = p.m, p.size
     check_index(letter, size)
+    if letter.kind != K and letter.power != 1:
+        raise ValueError(f"label actions take E/F letters of power 1, not {letter.text()}")
     if letter.kind == K:
         i, e = letter.index, letter.power
         return ((a, _twist_shift(size, (i, e)), 0, v_sub(i, e * a.row_sum(i), m)),)
@@ -180,8 +195,38 @@ def act_letter(letter: GenLetter, b: SeriesBasis, signed: bool = False) -> LinCo
     return LinComb._raw(out)
 
 
+def act_formal(letter: GenLetter, t: FormalLabel) -> LinComb:
+    """One generator on a formal label: a term (target, shift, +-i, c) of the
+    letter's template on t.mat (see _template) sends v^<char, j> (A, j + s)
+    to c v^(+-s_i) v^<char +- e_i, j> (target, j + s + shift)."""
+    s, out = t.shift, {}
+    for target, shift, char, c in _template(letter, t.mat, False):
+        ell = t.char
+        if char:
+            i, d = (char - 1, 1) if char > 0 else (-char - 1, -1)
+            if s[i]:
+                c = c * VFunc.v_power(d * s[i])
+            ell = ell[:i] + (ell[i] + d,) + ell[i + 1 :]
+        out[FormalLabel._make((target, s if shift is None else tuple(map(operator.add, s, shift)), ell))] = c
+    return LinComb._raw(out)
+
+
+def at_twist(x: LinComb, j) -> LinComb:
+    """A combination of formal labels at the twist j: each
+    v^<char, j> (A, j + shift) becomes v^<char, j> times the label
+    (A, j + shift), and equal labels are summed."""
+    return x.bind(
+        lambda t: LinComb.single(
+            SeriesBasis._make(t.mat, tuple(map(operator.add, j, t.shift))),
+            VFunc.v_power(sum(map(operator.mul, t.char, j))),
+        )
+    )
+
+
 def act_element(letter: GenLetter, x: LinComb) -> LinComb:
-    return x.bind(lambda b: act_letter(letter, b))
+    """One generator on an element; an E/F letter of divided power a acts as
+    its a-fold application divided by [a]! (see words.apply_word)."""
+    return apply_word((letter,), x, act_letter)
 
 
 def act_word(word: Word, x: LinComb) -> LinComb:

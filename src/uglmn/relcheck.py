@@ -6,6 +6,12 @@ basis vector the handle enumerates; the residual must vanish exactly.  The
 extra Serre relations take the two four-term compound elements built from
 E_{m-1}, E_m, E_{m+1} (resp. the F's) and anticommute them with the odd
 generator.
+
+On the series basis a relation acts once per matrix, at a formal twist (see
+regular.act_formal).  By the independence of the characters v^<char, j>, a
+zero formal residual is zero at every twist j in Z^(m+n); a nonzero one is
+read off at each label's twist, so the reports are those of a label-by-label
+check.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import NamedTuple
 from .linear import LinComb
 from .polyaction import DividedMonomial, act_factor, act_tensor, odd_slot
 from .qcoeff import ONE, VFunc, v_gap_inv
-from .regular import SeriesBasis, act_letter
+from .regular import FormalLabel, SeriesBasis, act_formal, at_twist
 from .superindex import (
     Profile,
     all_matrices,
@@ -84,12 +90,16 @@ class SuiteReport:
 @dataclass
 class ActionHandle:
     """A based module: a finite family of test vectors plus a single-letter
-    action callback (letter, key) -> LinComb, extended linearly."""
+    action callback (letter, key) -> LinComb, extended linearly.  With lift
+    set, lift(key) -> (formal key, twist) and act acts on formal keys: a
+    key's residual is the formal key's read off at the twist (see
+    regular.at_twist)."""
 
     name: str
     profile: Profile
     basis: tuple
     act: object
+    lift: object = None
 
 
 def relations_for(p: Profile) -> list:
@@ -189,16 +199,26 @@ def residual_to_json(x: LinComb) -> list:
 
 def check_relation(rel: Relation, handle: ActionHandle) -> RelationReport:
     """Evaluate one relation on every basis vector; stop at the first
-    nonzero residual."""
+    nonzero residual.  Through a lift, the polys act once per formal key,
+    shared by the basis vectors next to each other that lift to it; a zero
+    formal residual passes the vector without evaluation."""
     if rel.polys is None:
         return RelationReport(rel.label, NOT_APPLICABLE)
     checked = 0
-    act = handle.act
+    act, lift = handle.act, handle.lift
     plans = [horner_plan(poly) for poly in rel.polys]
+    formal_key = None
     for key in handle.basis:
-        start = LinComb.single(key)
-        for plan in plans:
-            residual = apply_plan(plan, start, act)
+        if lift is None:
+            start = LinComb.single(key)
+            residuals = (apply_plan(plan, start, act) for plan in plans)
+        else:
+            lifted, j = lift(key)
+            if lifted != formal_key:
+                formal_key = lifted
+                formal = [apply_plan(plan, LinComb.single(lifted), act) for plan in plans]
+            residuals = (at_twist(r, j) for r in formal if not r.is_zero())
+        for residual in residuals:
             if not residual.is_zero():
                 return RelationReport(
                     rel.label,
@@ -249,8 +269,17 @@ def tensor_handle(p: Profile, bound: int) -> ActionHandle:
     return ActionHandle(f"tensor {p.m}|{p.n} entries<={bound}", p, basis, act_tensor)
 
 
+def _lift_label(b: SeriesBasis) -> tuple:
+    """(A, j) as the formal label (A, j + 0) with no character, and j."""
+    zero = (0,) * len(b.j)
+    return FormalLabel(b.mat, zero, zero), b.j
+
+
 def series_handle(p: Profile, bound: int, j_values) -> ActionHandle:
+    """The labels (A, j), grouped by matrix so that every twist of one
+    matrix shares its formal evaluation."""
     basis = tuple(
         SeriesBasis(a, j) for a in all_offdiag(p, bound) for j in j_values
     )
-    return ActionHandle(f"series {p.m}|{p.n} entries<={bound}", p, basis, act_letter)
+    name = f"series {p.m}|{p.n} entries<={bound}"
+    return ActionHandle(name, p, basis, act_formal, _lift_label)

@@ -20,6 +20,7 @@ def fresh_templates():
     """An empty label-action template memo for the test, and none of its
     entries after: a test that patches a helper the templates read must
     neither read templates built before the patch nor leave its own behind."""
-    regular._template.cache_clear()
+    memo = regular._template  # the memo itself, should the test patch the name
+    memo.cache_clear()
     yield
-    regular._template.cache_clear()
+    memo.cache_clear()

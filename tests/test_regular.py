@@ -9,10 +9,13 @@ from uglmn import regular
 from uglmn.linear import LinComb
 from uglmn.qcoeff import ONE, VFunc, quantum_integer, v_gap_inv, v_sub
 from uglmn.regular import (
+    FormalLabel,
     SeriesBasis,
     act_element,
+    act_formal,
     act_letter,
     act_word,
+    at_twist,
     compare_truncated,
     expand_as_words,
     leading_decompose,
@@ -39,7 +42,7 @@ from uglmn.superindex import (
     unit_matrix,
     zero_matrix,
 )
-from uglmn.words import E, K, apply_words, check_index, e, f, k, word_from_text, word_text
+from uglmn.words import E, K, apply_word, apply_words, check_index, e, f, k, word_from_text, word_text
 
 P11 = Profile(1, 1)
 P21 = Profile(2, 1)
@@ -228,18 +231,22 @@ def _reference_act_letter(letter, b, signed=False):
     return LinComb._raw(out)
 
 
+def _action_letters(p):
+    """Every E/F letter and K_i^(+-1), K_i^(+-2)."""
+    letters = [x(h) for h in range(1, p.size) for x in (e, f)]
+    return letters + [k(i, x) for i in range(1, p.size + 1) for x in (1, -1, 2, -2)]
+
+
 def _template_mismatches(grids):
     """The (letter, label, signed) triples of the grids, (profile, entry
     bound) pairs, where act_letter differs from the direct reference; every
-    E/F letter and K_i^(+-1), K_i^(+-2), every twist in {-2, ..., 2}^size.
-    Twists beyond {-1, 0, 1} separate a character v^(j_i) from v^(j_i^3)."""
+    letter of _action_letters, every twist in {-2, ..., 2}^size.  Twists
+    beyond {-1, 0, 1} separate a character v^(j_i) from v^(j_i^3)."""
     out = []
     for p, bound in grids:
-        letters = [x(h) for h in range(1, p.size) for x in (e, f)]
-        letters += [k(i, x) for i in range(1, p.size + 1) for x in (1, -1, 2, -2)]
         twists = all_j(p, range(-2, 3))
         for a in all_offdiag(p, bound):
-            for letter in letters:
+            for letter in _action_letters(p):
                 for signed in (False, True):
                     for j in twists:
                         b = label(a, j)
@@ -269,6 +276,44 @@ def test_direct_formulas_catch_a_flipped_character(monkeypatch):
 
     monkeypatch.setattr(regular, "_template", planted)
     assert _template_mismatches([(P11, 1)])
+
+
+def test_formal_action_matches_the_label_action():
+    # at_twist(act_formal(L, v^<l, j> (A, j + s)), j) is v^<l, j> times
+    # act_letter(L, (A, j + s)): every label of (1,1), (2,1), (1,2) with
+    # entries <= 1, every letter of _action_letters, seeded s and l in
+    # {-1, 0, 1}^size, every twist j in {-2, ..., 2}^size (257,000 pairs).
+    rng = random.Random(2019)
+    out = []
+    for p in (P11, P21, P12):
+        twists = all_j(p, range(-2, 3))
+        for a in all_offdiag(p, 1):
+            for letter in _action_letters(p):
+                s, ell = (tuple(rng.choice((-1, 0, 1)) for _ in range(p.size)) for _ in range(2))
+                formal = act_formal(letter, FormalLabel(a, s, ell))
+                for j in twists:
+                    char = VFunc.v_power(sum(x * y for x, y in zip(ell, j)))
+                    concrete = act_letter(letter, label(a, [x + y for x, y in zip(j, s)]))
+                    if at_twist(formal, j) != concrete.scale(char):
+                        out.append((letter, a, s, ell, j))
+    assert out == []
+
+
+def test_label_actions_take_divided_powers_apart():
+    # E_h^(a) on an element is the a-fold E_h divided by [a]!, as in a word;
+    # the template refuses the letter itself, on every call, as the memo
+    # stores no exceptions.
+    b = label(unit_matrix(P21, 2, 1), (0, 0, 0))
+    x = LinComb.single(b)
+    assert act_element(e(1, 2), x) == apply_word((e(1, 2),), x, act_letter)
+    assert act_element(e(1, 2), x) != act_element(e(1), x)
+    assert act_element(f(2, 2), x) == apply_word((f(2, 2),), x, act_letter)
+    formal = FormalLabel(b.mat, (0, 0, 0), (0, 0, 0))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="power 1"):
+            act_letter(e(1, 2), b)
+        with pytest.raises(ValueError, match="power 1"):
+            act_formal(f(1, 3), formal)
 
 
 def test_truncate_levels():

@@ -1,13 +1,19 @@
-"""Relation verification: enumeration, compound Serre words, suites, mutation."""
+"""Relation verification: enumeration, compound Serre words, suites, mutation,
+and relations evaluated once per matrix at a formal twist."""
 
 import itertools
+import random
 
 import pytest
 
+from uglmn import regular
+from uglmn.linear import LinComb
 from uglmn.polyaction import ONE_ZERO, ZERO_ONE
 from uglmn.qcoeff import ONE, VFunc
+from uglmn.regular import FormalLabel, act_formal, act_letter
 from uglmn.relcheck import (
     EMPTY,
+    FAIL,
     NOT_APPLICABLE,
     PASS,
     ActionHandle,
@@ -19,10 +25,12 @@ from uglmn.relcheck import (
     series_handle,
     tensor_handle,
 )
-from uglmn.superindex import Profile
+from uglmn.superindex import Profile, all_offdiag
+from uglmn.words import E, apply_plan, horner_plan
 
 P11 = Profile(1, 1)
 P21 = Profile(2, 1)
+P12 = Profile(1, 2)
 P22 = Profile(2, 2)
 
 
@@ -180,3 +188,92 @@ def test_report_json_shape():
     assert obj["pass"] is True
     entry = obj["reports"][0]
     assert set(entry) == {"relation", "status", "checked"}
+
+
+def _flip_quotient_characters(monkeypatch):
+    # The difference-quotient terms, the only ones with both a twist shift
+    # and a character, carry v^(-+j_dst) in place of v^(+-j_dst).
+    template = regular._template
+
+    def planted(letter, a, signed):
+        return tuple((t, s, -c if s is not None else c, x) for t, s, c, x in template(letter, a, signed))
+
+    monkeypatch.setattr(regular, "_template", planted)
+
+
+def _negate_e2(monkeypatch):
+    template = regular._template
+
+    def planted(letter, a, signed):
+        terms = template(letter, a, signed)
+        if letter.kind == E and letter.index == 2:
+            return tuple((t, s, c, -x) for t, s, c, x in terms)
+        return terms
+
+    monkeypatch.setattr(regular, "_template", planted)
+
+
+def _drop_the_odd_sign(monkeypatch):
+    # The sign (-1)^sigma of the h = m terms is never taken.
+    monkeypatch.setattr(regular, "sigma", lambda col, a: 0)
+    regular._template.cache_clear()  # templates built before would hide it
+
+
+BENCH_TWISTS = [(0, 1, -1), (1, -1, 1), (-1, 0, 0)]  # series-verify, seed 1
+
+
+@pytest.mark.parametrize("plant", [_flip_quotient_characters, _negate_e2])
+@pytest.mark.parametrize(
+    "twists, shuffle",
+    [(BENCH_TWISTS, False), (BENCH_TWISTS, True), (list(itertools.product((-1, 0, 1), repeat=3)), False)],
+    ids=["bench", "bench-shuffled", "all"],
+)
+def test_formal_reports_match_the_label_action(monkeypatch, fresh_templates, plant, twists, shuffle):
+    # The formal evaluation reports the statuses, counts, first failing
+    # label and residual that act_letter reports label by label, whatever
+    # the order of the basis.
+    plant(monkeypatch)
+    handle = series_handle(P21, 1, twists)
+    if shuffle:
+        basis = list(handle.basis)
+        random.Random(19).shuffle(basis)
+        handle.basis = tuple(basis)
+    report = full_suite(handle).to_json()
+    concrete = ActionHandle(handle.name, P21, handle.basis, act_letter)
+    assert report == full_suite(concrete).to_json()
+    assert any(r["status"] == FAIL for r in report["reports"])
+
+
+def _nonzero_formal_residuals(p, first=False):
+    """(polys evaluated, nonzero residuals) of every relation poly on every
+    matrix of p with entries <= 1, each acting once on (A, j) with j formal;
+    stop at the first nonzero residual when first is set."""
+    plans = [horner_plan(poly) for rel in relations_for(p) if rel.polys for poly in rel.polys]
+    zero = (0,) * p.size
+    polys = nonzero = 0
+    for a in all_offdiag(p, 1):
+        start = LinComb.single(FormalLabel(a, zero, zero))
+        for plan in plans:
+            polys += 1
+            if not apply_plan(plan, start, act_formal).is_zero():
+                nonzero += 1
+                if first:
+                    return polys, nonzero
+    return polys, nonzero
+
+
+@pytest.mark.parametrize("p, polys, flipped", [(P11, 40, 8), (P21, 1664, 326), (P12, 1664, 326)])
+def test_relations_hold_at_every_twist(monkeypatch, fresh_templates, p, polys, flipped):
+    # A zero formal residual is zero at every twist j in Z^size.
+    assert _nonzero_formal_residuals(p) == (polys, 0)
+    _flip_quotient_characters(monkeypatch)
+    assert _nonzero_formal_residuals(p) == (polys, flipped)
+
+
+@pytest.mark.slow
+def test_relations_hold_at_every_twist_22(monkeypatch, fresh_templates):
+    # All 4,096 matrices of (2,2) with entries <= 1, 53 polys each, where
+    # the super Serre relations apply.
+    assert _nonzero_formal_residuals(P22) == (217_088, 0)
+    _drop_the_odd_sign(monkeypatch)
+    assert _nonzero_formal_residuals(P22, first=True)[1] == 1
