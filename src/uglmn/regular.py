@@ -10,9 +10,9 @@ into generator words.  The twist j enters a generator's action on (A, j)
 only through a shift of the twist and one factor v^(+-j_i) per term, so the
 action is built once per (letter, matrix) as a template and evaluated at j.
 The template also acts on formal labels v^<char, j> (A, j + shift) with j
-left formal, so a relation check evaluates each matrix once for every twist:
-by the independence of the characters v^<char, j>, a zero formal residual
-is zero at every twist (see relcheck.check_relation).
+left formal, so the relation and truncation checks take each matrix once for
+every twist: by the independence of the characters v^<char, j>, a zero
+formal residual is zero at every twist (see relcheck.check_relation).
 An expansion is a combination of labels (B, k), each standing for its word
 monomial_word(B, k); only (A, 0) is expanded, once per matrix, and every
 twist is derived from it.
@@ -31,7 +31,7 @@ from collections import namedtuple
 
 from .linear import LinComb, element_from_json
 from .polyaction import act_tensor
-from .qcoeff import VFunc, quantum_integer, v_gap_inv, v_sub
+from .qcoeff import ZERO, VFunc, quantum_integer, v_gap_inv, v_sub
 from .superindex import (
     Profile,
     SuperMatrix,
@@ -217,10 +217,14 @@ def at_twist(x: LinComb, j) -> LinComb:
     (A, j + shift), and equal labels are summed."""
     return x.bind(
         lambda t: LinComb.single(
-            SeriesBasis._make(t.mat, tuple(map(operator.add, j, t.shift))),
-            VFunc.v_power(sum(map(operator.mul, t.char, j))),
+            SeriesBasis._make(t.mat, tuple(map(operator.add, j, t.shift))), _char(t.char, j)
         )
     )
+
+
+def _char(ell, j) -> VFunc:
+    """The character v^<ell, j>."""
+    return VFunc.v_power(sum(map(operator.mul, ell, j)))
 
 
 def act_element(letter: GenLetter, x: LinComb) -> LinComb:
@@ -252,19 +256,32 @@ def _window(mat: SuperMatrix, level: int) -> list:
     return [(lam[:m] + tuple(-x for x in lam[m:]), mat.add_diag(lam)) for lam in shifts]
 
 
-def _weigh(b: SeriesBasis, window) -> LinComb:
-    """The monomials of a window of b.mat, weighted by v^(lam * j)."""
-    return LinComb._raw({x: VFunc.v_power(sum(map(operator.mul, signed, b.j))) for signed, x in window})
-
-
 def truncate(b: SeriesBasis, level: int) -> LinComb:
-    """Finite witness of a label: sum over |lam| <= level of
-    v^(lam * j) X^[A + diag(lam)].  Only the weights depend on the twist j,
-    so the monomials, and their images under a generator, are shared by
-    every twist of one matrix (see truncation_mismatches)."""
+    """Finite witness of a label: sum over |lam| <= level of v^(lam * j) X^[A + diag(lam)]."""
     if level < 0:
         raise ValueError("truncation level must be >= 0")
-    return _weigh(b, _window(b.mat, level))
+    return LinComb._raw({x: _char(lam, b.j) for lam, x in _window(b.mat, level)})
+
+
+def _truncation_differences(mat: SuperMatrix, letters, level: int) -> list:
+    """(letter, difference) pairs: the tensor action on the truncated series
+    of (mat, j) less the truncated explicit action, j formal, on monomials of
+    level <= level - 1, in terms (monomial, char) for v^<char, j> X^[monomial].
+    A term v^<char, j> (A, j + s) of act_formal truncates to v^<mu, s> at
+    (A + diag(mu), char + mu), mu signed as in _window; neither side calls
+    the other's action."""
+    window, zero, series = level - 1, (0,) * mat.profile.size, _window(mat, level)
+    window_of = functools.cache(lambda a: _window(a, window))  # exact: labels are diagonal-free
+    out = []
+    for letter in letters:
+        # The signed lam of each series monomial keeps its images apart.
+        d = {(y, lam): c for lam, x in series for y, c in act_tensor(letter, x) if y.diag_total() <= window}
+        for t, c in act_formal(letter, FormalLabel(mat, zero, zero)):
+            for mu, y in window_of(t.mat):
+                key = y, tuple(map(operator.add, t.char, mu))
+                d[key] = d.get(key, ZERO) - c * _char(mu, t.shift)
+        out.append((letter, LinComb(d)))
+    return out
 
 
 def truncation_mismatches(mat: SuperMatrix, twists, letters, level: int) -> list:
@@ -272,38 +289,21 @@ def truncation_mismatches(mat: SuperMatrix, twists, letters, level: int) -> list
     of the letter on the label (mat, twist) disagrees with the tensor action
     of the truncated series.  One generator application moves the diagonal
     level by at most one, so the two sides are both complete on monomials
-    of level <= level - 1; they must agree there exactly.
-
-    The tensor side acts on each monomial mat + diag(lam) once per letter,
-    keeps the images inside the window and reweights them for every twist.
-    The label side builds each target matrix's window once and reweights it
-    for every output label.  Neither side calls the other's action.
-    """
+    of level <= level - 1; they must agree there exactly.  Each letter is
+    compared once at a formal twist (_truncation_differences), and a nonzero
+    difference is read off at each twist."""
     if level < 1:
         raise ValueError("comparison needs level >= 1")
-    window = level - 1
-    monomials = [x for _, x in _window(mat, level)]
-    images = [
-        {x: act_tensor(letter, x).filter_keys(lambda y: y.diag_total() <= window) for x in monomials}
-        for letter in letters
+    twists = [(j, SeriesBasis(mat, j).j) for j in twists]  # validated as labels
+    diffs = _truncation_differences(mat, letters, level)
+    return [
+        (j, letter) for j, valid in twists for letter, d in diffs
+        if d.bind(lambda t: LinComb.single(t[0], _char(t[1], valid))).terms
     ]
-    # Label matrices are diagonal-free, so truncating at the window is exact.
-    window_of = functools.cache(lambda a: _window(a, window))  # one per target matrix
-    out = []
-    for j in twists:
-        b = SeriesBasis(mat, j)
-        series = truncate(b, level)
-        for letter, image in zip(letters, images):
-            label_side = act_letter(letter, b).bind(lambda t: _weigh(t, window_of(t.mat)))
-            if series.bind(image.__getitem__) != label_side:
-                out.append((j, letter))
-    return out
 
 
 def compare_truncated(letter: GenLetter, b: SeriesBasis, level: int) -> bool:
-    """Check the explicit action of one generator on one label against the
-    tensor action of the truncated series: truncation_mismatches on one
-    twist and one letter."""
+    """truncation_mismatches on one label and one letter: True if they agree."""
     return not truncation_mismatches(b.mat, (b.j,), (letter,), level)
 
 

@@ -278,8 +278,7 @@ def _lift_label(b: SeriesBasis) -> tuple:
 def series_handle(p: Profile, bound: int, j_values) -> ActionHandle:
     """The labels (A, j), grouped by matrix so that every twist of one
     matrix shares its formal evaluation."""
-    basis = tuple(
-        SeriesBasis(a, j) for a in all_offdiag(p, bound) for j in j_values
-    )
+    j_values = list(j_values)  # walked once per matrix
+    basis = tuple(SeriesBasis(a, j) for a in all_offdiag(p, bound) for j in j_values)
     name = f"series {p.m}|{p.n} entries<={bound}"
     return ActionHandle(name, p, basis, act_formal, _lift_label)

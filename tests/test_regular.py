@@ -376,8 +376,9 @@ def test_compare_truncated_grid_11():
 
 
 def test_compare_truncated_sample_22():
-    # The exhaustive (2,2) truncation grid is hours of work; a seeded sample
-    # across all generators keeps the profile covered.
+    # Every (2,2) matrix is compared at a formal twist by the slow
+    # test_truncations_agree_at_every_twist_22; this seeded sample across all
+    # generators keeps the profile covered in the fast run.
     p = Profile(2, 2)
     rng = random.Random(2024)
     mats = list(all_offdiag(p, 1))

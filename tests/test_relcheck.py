@@ -1,5 +1,6 @@
 """Relation verification: enumeration, compound Serre words, suites, mutation,
-and relations evaluated once per matrix at a formal twist."""
+and relations evaluated once per matrix at a formal twist, as are the
+truncation comparisons."""
 
 import itertools
 import random
@@ -25,6 +26,7 @@ from uglmn.relcheck import (
     series_handle,
     tensor_handle,
 )
+from uglmn.suites import generator_letters
 from uglmn.superindex import Profile, all_offdiag
 from uglmn.words import E, apply_plan, horner_plan
 
@@ -140,6 +142,15 @@ def test_full_suite_series_11():
     j_values = list(itertools.product((-1, 0, 1), repeat=2))
     rep = full_suite(series_handle(P11, 1, j_values))
     assert rep.all_pass, [r.to_json() for r in rep.failures()]
+
+
+def test_series_handle_takes_its_twists_from_an_iterator():
+    # The twists are walked once per matrix: a one-shot iterator gives the
+    # same 512 labels as a list.
+    twists = list(itertools.product((0, 1), repeat=3))
+    basis = series_handle(P21, 1, twists).basis
+    assert len(basis) == 64 * 8
+    assert series_handle(P21, 1, itertools.product((0, 1), repeat=3)).basis == basis
 
 
 def test_serre_not_applicable_small_profiles():
@@ -277,3 +288,36 @@ def test_relations_hold_at_every_twist_22(monkeypatch, fresh_templates):
     assert _nonzero_formal_residuals(P22) == (217_088, 0)
     _drop_the_odd_sign(monkeypatch)
     assert _nonzero_formal_residuals(P22, first=True)[1] == 1
+
+
+def _nonzero_truncation_differences(p, first=False):
+    """(letters compared, nonzero differences) of the level-3 truncation
+    check on every matrix of p with entries <= 1, each letter compared once
+    on (A, j) with j formal; stop at the first matrix with a nonzero
+    difference when first is set."""
+    letters = generator_letters(p)
+    compared = nonzero = 0
+    for a in all_offdiag(p, 1):
+        diffs = regular._truncation_differences(a, letters, 3)
+        compared += len(diffs)
+        nonzero += sum(not d.is_zero() for _, d in diffs)
+        if first and nonzero:
+            break
+    return compared, nonzero
+
+
+@pytest.mark.parametrize("p, compared, flipped", [(P11, 24, 4), (P21, 640, 128), (P12, 640, 128)])
+def test_truncations_agree_at_every_twist(monkeypatch, fresh_templates, p, compared, flipped):
+    # A zero formal truncation difference is zero at every twist j in Z^size.
+    assert _nonzero_truncation_differences(p) == (compared, 0)
+    _flip_quotient_characters(monkeypatch)
+    assert _nonzero_truncation_differences(p) == (compared, flipped)
+
+
+@pytest.mark.slow
+def test_truncations_agree_at_every_twist_22(monkeypatch, fresh_templates):
+    # All 4,096 matrices of (2,2) with entries <= 1, 14 letters each.
+    assert _nonzero_truncation_differences(P22) == (57_344, 0)
+    # Without the sign (-1)^sigma, the third matrix already differs.
+    _drop_the_odd_sign(monkeypatch)
+    assert _nonzero_truncation_differences(P22, first=True) == (42, 1)

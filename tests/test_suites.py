@@ -1,8 +1,9 @@
 """Agreement grids: shards partition the grid, build only their own matrices,
 the sharded runner gives the same report as one process and starts at most
-one worker per CPU, an empty grid does not pass, and a lost action term is
-caught.  The batched truncation grid rejects exactly the (matrix, twist,
-letter) triples that the per-pair check rejects.  Relations and truncations
+one worker per CPU, an empty grid does not pass, a bad twist is rejected,
+and a lost action term is caught.  The truncation grid, which compares each
+matrix once at a formal twist, rejects exactly the (matrix, twist, letter)
+triples that the per-pair check rejects.  Relations and truncations
 on a fixed sample of (2,2) labels, where the super Serre relations apply,
 and on the complete (3,0) and (0,3) grids."""
 
@@ -16,7 +17,7 @@ import random
 import pytest
 
 from uglmn import regular, suites
-from uglmn.linear import LinComb
+from uglmn.qcoeff import VFunc
 from uglmn.regular import SeriesBasis, compare_truncated
 from uglmn.relcheck import (
     EMPTY,
@@ -93,6 +94,15 @@ def test_empty_series_grid_does_not_pass():
     assert report.to_json()["pass"] is False
 
 
+def test_series_grid_rejects_bad_twists():
+    # Every twist is validated as a label's, even where the formal
+    # comparison finds nothing to read off.
+    with pytest.raises(ValueError, match="length 3"):
+        series_truncation_agreement(P21, 1, [(0, 0)], 3, threads=1)
+    with pytest.raises(TypeError):
+        series_truncation_agreement(P21, 1, [(0, 0.5, 0)], 3, threads=1)
+
+
 def test_empty_basis_relations_are_empty_not_passing():
     handle = ActionHandle("empty", P11, (), regular.act_letter)
     report = full_suite(handle)
@@ -127,34 +137,61 @@ def _flip_last_column(monkeypatch):
 
 
 def _lose_a_label_term(monkeypatch):
-    monkeypatch.setattr(regular, "act_letter", _drop_one_term(regular.act_letter))
+    # Every template with two or more terms loses its last, as if two terms
+    # had been stored under one key.
+    template = regular._template.__wrapped__
+
+    def planted(letter, a, signed):
+        terms = template(letter, a, signed)
+        return terms[:-1] if len(terms) > 1 else terms
+
+    monkeypatch.setattr(regular, "_template", planted)
 
 
-def test_series_grid_catches_a_lost_label_term(monkeypatch):
+def test_series_grid_catches_a_lost_label_term(monkeypatch, fresh_templates):
     twists = [(0, 0), (1, -1), (-1, 1)]
     assert series_truncation_agreement(P11, 1, twists, 3, threads=1).all_pass
     _lose_a_label_term(monkeypatch)
     report = series_truncation_agreement(P11, 1, twists, 3, threads=1)
     assert report.checked == 12
     assert report.failures
+    # A one-shot iterator of letters finds the same mismatches as a list.
+    a = SuperMatrix(P11, ((0, 1), (1, 0)))
+    letters = generator_letters(P11)
+    found = regular.truncation_mismatches(a, twists, letters, 3)
+    assert len(found) == 6
+    assert regular.truncation_mismatches(a, twists, iter(letters), 3) == found
 
 
 def _shift_the_second_quotient_term(monkeypatch):
-    # The second difference-quotient term, the only one with twist
-    # j - e_h - e_(h+1), is shifted by -2 along e_(h+1) instead of -1.  Only
+    # The second difference-quotient term, the only one with twist shift
+    # -e_h - e_(h+1), is shifted by -2 along e_(h+1) instead of -1.  Only
     # its twist changes, so only the weights v^(lam * j') of its window show it.
-    act = regular.act_letter
+    template = regular._template.__wrapped__
 
-    def planted(letter, b, *args, **kwargs):
-        res = act(letter, b, *args, **kwargs)
+    def planted(letter, a, signed):
+        terms = template(letter, a, signed)
         if letter.kind == K:
-            return res
-        h = letter.index
-        low = b.j[: h - 1] + (b.j[h - 1] - 1, b.j[h] - 1) + b.j[h + 1 :]
-        twist = low[:h] + (low[h] - 1,) + low[h + 1 :]
-        return LinComb._raw({(SeriesBasis(t.mat, twist) if t.j == low else t): c for t, c in res})
+            return terms
+        h, size = letter.index, a.profile.size
+        low = tuple(-1 if i in (h - 1, h) else 0 for i in range(size))
+        lower = tuple(x - (i == h) for i, x in enumerate(low))
+        return tuple((t, lower if s == low else s, c, x) for t, s, c, x in terms)
 
-    monkeypatch.setattr(regular, "act_letter", planted)
+    monkeypatch.setattr(regular, "_template", planted)
+
+
+def _read_the_characters_at_one(monkeypatch):
+    # Every character v^(+-j_i) is read as v^(+-1), its value at j_i = 1, so
+    # which twists fail depends on reading the differences off at the right
+    # twist.
+    template = regular._template.__wrapped__
+
+    def planted(letter, a, signed):
+        terms = template(letter, a, signed)
+        return tuple((t, s, 0, x * VFunc.v_power(1 if c > 0 else -1) if c else x) for t, s, c, x in terms)
+
+    monkeypatch.setattr(regular, "_template", planted)
 
 
 def _reference_failures(p, bound, twists, level):
@@ -175,7 +212,8 @@ def _reference_failures(p, bound, twists, level):
 
 
 @pytest.mark.parametrize(
-    "plant", [_flip_last_column, _lose_a_label_term, _shift_the_second_quotient_term]
+    "plant",
+    [_flip_last_column, _lose_a_label_term, _shift_the_second_quotient_term, _read_the_characters_at_one],
 )
 def test_series_grid_rejects_what_the_per_pair_check_rejects(monkeypatch, fresh_templates, plant):
     twists = [(0, 0, 0), (1, -1, 0), (-1, 1, 1)]
