@@ -28,7 +28,7 @@ from collections import namedtuple
 from .linear import LinComb, element_from_json
 from .qcoeff import VFunc, quantum_integer, v_sub
 from .superindex import Profile, SuperMatrix, f_stat, g_stat, json_ints, sigma
-from .words import E, K, GenLetter, Word, apply_word, check_index
+from .words import E, K, GenLetter, Word, apply_word, check_letter
 from .words import f as f_letter
 
 ZERO_ONE = "0|1"
@@ -116,7 +116,7 @@ def _ef_factor(x: DividedMonomial, kind: str, h: int):
 
 def act_factor(letter: GenLetter, x: DividedMonomial) -> LinComb:
     """Single-generator action on a divided monomial of one factor algebra."""
-    check_index(letter, x.profile.size)
+    check_letter(letter, x.profile.size)
     if letter.kind == K:
         i = letter.index
         return LinComb._raw({x: v_sub(i, letter.power * x.exps[i - 1], x.profile.m)})
@@ -149,7 +149,7 @@ def act_tensor(letter: GenLetter, a: SuperMatrix) -> LinComb:
     """
     p = a.profile
     m, size = p.m, p.size
-    check_index(letter, size)
+    check_letter(letter, size)
     if letter.kind == K:
         i = letter.index
         return LinComb.single(a, v_sub(i, letter.power * a.row_sum(i), m))
@@ -191,7 +191,7 @@ def act_tensor_coproduct(letter: GenLetter, a: SuperMatrix, _cols=None) -> LinCo
     """
     p = a.profile
     m = p.m
-    check_index(letter, p.size)
+    check_letter(letter, p.size)
     cols = column_monomials(a) if _cols is None else _cols
     if letter.kind == K:
         i = letter.index

@@ -45,7 +45,7 @@ from .superindex import (
     super_dot,
     zero_matrix,
 )
-from .words import E, K, GenLetter, Word, apply_word, apply_words, check_index, word_text
+from .words import E, K, GenLetter, Word, apply_word, apply_words, check_letter, word_text
 from .words import e as e_letter
 from .words import f as f_letter
 from .words import k as k_letter
@@ -112,8 +112,7 @@ def _template(letter: GenLetter, a: SuperMatrix, signed: bool) -> tuple:
     label (target, j + shift), with shift None for j itself and char 0 for
     no j factor.  The twist enters the action only through these shifts and
     characters, so act_letter evaluates the template at b.j, and act_formal
-    keeps j formal.  E/F letters must have divided power 1: a power a > 1 is
-    a ValueError, split into a letters by words.apply_word.
+    keeps j formal.  E/F letters must have divided power 1 (check_letter).
 
     K_i^e scales by v_i^(e row_i sum) and shifts the twist by e e_i.  E_h
     moves a unit from row h+1 to row h, F_h from row h to row h+1, in four
@@ -131,9 +130,7 @@ def _template(letter: GenLetter, a: SuperMatrix, signed: bool) -> tuple:
     """
     p = a.profile
     m, size = p.m, p.size
-    check_index(letter, size)
-    if letter.kind != K and letter.power != 1:
-        raise ValueError(f"label actions take E/F letters of power 1, not {letter.text()}")
+    check_letter(letter, size)
     if letter.kind == K:
         i, e = letter.index, letter.power
         return ((a, _twist_shift(size, (i, e)), 0, v_sub(i, e * a.row_sum(i), m)),)

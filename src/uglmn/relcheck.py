@@ -7,11 +7,12 @@ extra Serre relations take the two four-term compound elements built from
 E_{m-1}, E_m, E_{m+1} (resp. the F's) and anticommute them with the odd
 generator.
 
-On the series basis a relation acts once per matrix, at a formal twist (see
-regular.act_formal).  By the independence of the characters v^<char, j>, a
-zero formal residual is zero at every twist j in Z^(m+n); a nonzero one is
-read off at each label's twist, so the reports are those of a label-by-label
-check.
+Each relation poly is one nested Horner trie (words.horner_plan), evaluated
+once per formal key a basis vector lifts to: the vector itself, or on the
+series basis its matrix at a formal twist (see regular.act_formal).  By the
+independence of the characters v^<char, j>, a zero formal residual is zero
+at every twist j in Z^(m+n); a nonzero one is read off at each label's
+twist, so the reports are those of a label-by-label check.
 """
 
 from __future__ import annotations
@@ -87,19 +88,23 @@ class SuiteReport:
         }
 
 
+def _as_is(key) -> tuple:
+    """The identity lift: the key is its own formal key, read unchanged."""
+    return key, lambda r: r
+
+
 @dataclass
 class ActionHandle:
     """A based module: a finite family of test vectors plus a single-letter
-    action callback (letter, key) -> LinComb, extended linearly.  With lift
-    set, lift(key) -> (formal key, twist) and act acts on formal keys: a
-    key's residual is the formal key's read off at the twist (see
-    regular.at_twist)."""
+    action callback (letter, key) -> LinComb, extended linearly, on formal
+    keys: lift(key) -> (formal key, read), and a key's residual is read(its
+    formal key's residual).  The default lift is the identity."""
 
     name: str
     profile: Profile
     basis: tuple
     act: object
-    lift: object = None
+    lift: object = _as_is
 
 
 def relations_for(p: Profile) -> list:
@@ -199,33 +204,23 @@ def residual_to_json(x: LinComb) -> list:
 
 def check_relation(rel: Relation, handle: ActionHandle) -> RelationReport:
     """Evaluate one relation on every basis vector; stop at the first
-    nonzero residual.  Through a lift, the polys act once per formal key,
-    shared by the basis vectors next to each other that lift to it; a zero
-    formal residual passes the vector without evaluation."""
+    nonzero residual.  The polys act once per formal key, shared by the
+    basis vectors next to each other that lift to it; each nonzero formal
+    residual is read off at the vector, and a zero one passes it unread."""
     if rel.polys is None:
         return RelationReport(rel.label, NOT_APPLICABLE)
-    checked = 0
-    act, lift = handle.act, handle.lift
+    checked, formal_key = 0, None
     plans = [horner_plan(poly) for poly in rel.polys]
-    formal_key = None
     for key in handle.basis:
-        if lift is None:
-            start = LinComb.single(key)
-            residuals = (apply_plan(plan, start, act) for plan in plans)
-        else:
-            lifted, j = lift(key)
-            if lifted != formal_key:
-                formal_key = lifted
-                formal = [apply_plan(plan, LinComb.single(lifted), act) for plan in plans]
-            residuals = (at_twist(r, j) for r in formal if not r.is_zero())
-        for residual in residuals:
+        lifted, read = handle.lift(key)
+        if lifted != formal_key:
+            formal_key = lifted
+            start = LinComb.single(lifted)
+            formal = [r for r in (apply_plan(plan, start, handle.act) for plan in plans) if not r.is_zero()]
+        for residual in map(read, formal):
             if not residual.is_zero():
-                return RelationReport(
-                    rel.label,
-                    FAIL,
-                    checked,
-                    {"basis": repr(key), "residual": residual_to_json(residual)},
-                )
+                counterexample = {"basis": repr(key), "residual": residual_to_json(residual)}
+                return RelationReport(rel.label, FAIL, checked, counterexample)
         checked += 1
     return RelationReport(rel.label, PASS if checked else EMPTY, checked)
 
@@ -270,9 +265,9 @@ def tensor_handle(p: Profile, bound: int) -> ActionHandle:
 
 
 def _lift_label(b: SeriesBasis) -> tuple:
-    """(A, j) as the formal label (A, j + 0) with no character, and j."""
+    """(A, j) as the formal label (A, j + 0) with no character, read off at j."""
     zero = (0,) * len(b.j)
-    return FormalLabel(b.mat, zero, zero), b.j
+    return FormalLabel(b.mat, zero, zero), lambda r: at_twist(r, b.j)
 
 
 def series_handle(p: Profile, bound: int, j_values) -> ActionHandle:

@@ -53,6 +53,14 @@ def check_index(letter: GenLetter, size: int) -> None:
         raise IndexError(f"generator {letter.text()} needs an index in 1..{top} when m + n = {size}")
 
 
+def check_letter(letter: GenLetter, size: int) -> None:
+    """check_index, and a ValueError for an E/F letter of divided power a
+    other than 1, which only apply_word takes (as a letters)."""
+    check_index(letter, size)
+    if letter.kind != K and letter.power != 1:
+        raise ValueError(f"single-letter actions take E/F letters of power 1, not {letter.text()}")
+
+
 def e(h: int, a: int = 1) -> GenLetter:
     return GenLetter(E, h, a)
 
@@ -105,38 +113,29 @@ def apply_word(word: Word, x: LinComb, act) -> LinComb:
     return x
 
 
-def horner_plan(words: LinComb) -> tuple:
-    """The trie of word prefixes of sum_w c_w w, a level per prefix length,
-    longest first.  A level is (leaves, edges): leaves are the words (w, c_w)
-    of that length, and each edge (p, letter, q) joins a prefix p one letter
-    longer to its parent q = p minus its last letter, in the order of p's
-    level."""
-    by_len: dict = {}
+def horner_plan(words: LinComb) -> list:
+    """The trie of word prefixes of sum_w c_w w: a node is [c, children],
+    with c the coefficient of the word that ends there (None if none) and
+    children {letter: node} over the prefixes one letter longer."""
+    root = [None, {}]
     for w, c in words:
-        by_len.setdefault(len(w), []).append((w, c))
-    plan, longer = [], ()
-    for depth in range(max(by_len, default=-1), -1, -1):
-        leaves = tuple(by_len.get(depth, ()))
-        edges = tuple((p, p[-1], p[:-1]) for p in longer)
-        plan.append((leaves, edges))
-        longer = dict.fromkeys([w for w, _ in leaves] + [q for _, _, q in edges])
-    return tuple(plan)
+        node = root
+        for letter in w:
+            node = node[1].setdefault(letter, [None, {}])
+        node[0] = c
+    return root
 
 
-def apply_plan(plan: tuple, x: LinComb, act) -> LinComb:
-    """sum_w c_w w(x) from its horner_plan: the words that begin with one
-    letter share its application, the costliest one, as it acts last.  Node p
-    of the trie holds sum_{w = p w'} c_w w'(x), and its last letter acts once
-    on that sum to feed its parent; a level at a time, longest prefixes
-    first, so the word length never bounds the stack."""
-    level: dict = {}  # prefix of the current length -> its node's sum
-    for leaves, edges in plan:
-        up = {w: x.scale(c) for w, c in leaves}
-        for p, letter, q in edges:
-            y = apply_word((letter,), level[p], act)
-            up[q] = up[q] + y if q in up else y
-        level = up
-    return level.get((), LinComb.zero())
+def apply_plan(plan: list, x: LinComb, act) -> LinComb:
+    """sum_w c_w w(x) from its horner_plan: the node of a prefix p yields
+    sum_{w = p w'} c_w w'(x), its c times x plus each child's letter acting
+    once on the child's sum: the words that begin with one letter apply it
+    once, where it costs most.  The recursion is as deep as the longest word."""
+    c, children = plan
+    out = LinComb.zero() if c is None else x.scale(c)
+    for letter, child in children.items():
+        out = out + apply_word((letter,), apply_plan(child, x, act), act)
+    return out
 
 
 def apply_words(words: LinComb, x: LinComb, act) -> LinComb:

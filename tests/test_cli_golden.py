@@ -115,6 +115,10 @@ def _cases() -> list:
 
     cases.append(["verify", "--m", "1", "--n", "1", "--bound", "2"])
     cases.append(["verify", "--m", "1", "--n", "1", "--bound", "2", "--mutate"])
+    for m, n, suite, bound in ((2, 1, "series", 1), (1, 2, "series", 1),
+                               (2, 1, "tensor", 1), (2, 1, "factor", 2)):
+        cases.append(["verify", "--m", str(m), "--n", str(n), "--suite", suite,
+                      "--bound", str(bound)])
     return cases
 
 

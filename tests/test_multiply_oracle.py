@@ -10,6 +10,7 @@ The label with the single entry a at (h, h+1) is E_h^(a) O(0), and at
 """
 
 import random
+import sys
 
 import pytest
 
@@ -18,7 +19,7 @@ from uglmn.linear import LinComb
 from uglmn.qcoeff import ONE, ZERO, VFunc, quantum_factorial, v_sub
 from uglmn.regular import SeriesBasis, act_letter, act_word, multiply, one_label
 from uglmn.superindex import Profile, all_offdiag, zero_matrix
-from uglmn.words import E, K, apply_word, apply_words, e, f, k
+from uglmn.words import E, K, apply_plan, apply_word, apply_words, e, f, k, horner_plan
 
 P11 = Profile(1, 1)
 P20 = Profile(2, 0)
@@ -70,6 +71,44 @@ def test_apply_words_matches_word_by_word(p):
         assert apply_words(words, x, act_letter) == want
     assert apply_words(LinComb.zero(), x, act_letter) == LinComb.zero()
     assert apply_words(LinComb.single(()), x, act_letter) == x
+
+
+def test_apply_plan_acts_once_per_prefix():
+    # On a module where every letter scales the one key, each trie node's
+    # sum is one term: apply_plan then makes exactly one act call per
+    # distinct nonempty prefix.  On words themselves, with each letter
+    # prepended, the leftmost letter acts last and the sum is the words.
+    x, y = e(1), f(1)
+    words = LinComb.single(()) + LinComb(
+        {w: VFunc.v_power(len(w)) for w in [(x, y), (x, y, x), (x, x), (y,), (k(2),) * 7]}
+    )
+    prefixes = {w[:i] for w in words.terms for i in range(1, len(w) + 1)}
+    calls = []
+
+    def scale(letter, key):
+        calls.append(letter)
+        return LinComb.single(key, VFunc.v_power(letter.index))
+
+    got = apply_plan(horner_plan(words), LinComb.single("o"), scale)
+    assert len(calls) == len(prefixes) == 12
+    want = LinComb.zero()
+    for w, c in words:
+        want = want + apply_word(w, LinComb.single("o"), scale).scale(c)
+    assert got == want
+
+    def prepend(letter, w):
+        return LinComb.single((letter,) + w)
+
+    assert apply_words(words, LinComb.single(()), prepend) == words
+
+
+def test_apply_words_takes_a_long_word():
+    # The recursion is as deep as the longest word, far below the default
+    # limit for relation words (4 letters) and computable expansions.
+    word = (k(1), k(2, -1)) * 300
+    o = LinComb.single(one_label(P11))
+    assert sys.getrecursionlimit() <= 1000
+    assert apply_words(LinComb.single(word), o, act_letter) == apply_word(word, o, act_letter)
 
 
 def _closed_form_failures(p: Profile) -> list:

@@ -301,3 +301,22 @@ def test_actions_reject_generators_outside_the_profile(p):
         for letter in (e(size), f(size), k(size + 1), k(size + 1, -1)):
             with pytest.raises(IndexError, match=f"needs an index in 1..[0-9]+ when m \\+ n = {size}"):
                 act(letter, key)
+
+
+@pytest.mark.parametrize("p", [P11, P21, P12])
+def test_actions_refuse_divided_powers(p):
+    # Each single-letter action takes E_h and F_h only; a divided power is
+    # split by apply_word, never read as its first letter.
+    unit = unit_matrix(p, 2, 1)
+    keys = (
+        (act_letter, one_label(p)),
+        (act_tensor, unit),
+        (act_tensor_coproduct, unit),
+        (act_factor, mono(p, ZERO_ONE, (0, 1) + (0,) * (p.size - 2))),
+        (act_factor, mono(p, ONE_ZERO, (0, 1) + (0,) * (p.size - 2))),
+    )
+    for act, key in keys:
+        for letter in (e(1, 2), f(1, 2), e(p.size - 1, 3)):
+            with pytest.raises(ValueError, match="power 1"):
+                act(letter, key)
+    assert apply_word((e(1, 2),), LinComb.single(unit), act_tensor).is_zero()
