@@ -42,7 +42,7 @@ from .regular import (
 )
 from .superindex import Profile, SuperMatrix, json_ints
 from .suites import run_factor_suites, run_series_suites, run_tensor_suites, thread_count
-from .words import apply_word, check_index, word_from_text, word_text
+from .words import K, apply_word, check_index, word_from_text, word_text
 
 FLAVORS = {"01": ZERO_ONE, "10": ONE_ZERO}
 # Each --space: its single-letter action, its input codec (called with the
@@ -175,6 +175,8 @@ def cmd_truncate(args) -> int:
 def cmd_oracle_compare(args) -> int:
     p = Profile(args.m, args.n)
     letter = parse_generator(args.gen, p)
+    if letter.kind != K and letter.power != 1:
+        raise InputError(f"oracle-compare compares one letter of power 1, got {letter.text()}")
     b = parse_label(args, p)
     ok = compare_truncated(letter, b, args.L)
     _emit(

@@ -22,12 +22,13 @@ the two must agree.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from collections import namedtuple
 
 from .linear import LinComb, element_from_json
 from .qcoeff import VFunc, quantum_integer, v_sub
-from .superindex import Profile, SuperMatrix, f_stat, g_stat, json_ints, sigma
+from .superindex import Profile, SuperMatrix, f_stats, g_stats, json_ints, odd_counts
 from .words import E, K, GenLetter, Word, apply_word, check_letter
 from .words import f as f_letter
 
@@ -145,32 +146,31 @@ def act_tensor(letter: GenLetter, a: SuperMatrix) -> LinComb:
 
     K_i multiplies by v_i^(row_i sum); E_h/F_h move one unit between rows h
     and h+1 inside each admissible column, weighted by the f/g statistics and
-    the sign (-1)^sigma when h = m.
+    the sign (-1)^sigma when h = m.  One pass takes the statistic of every
+    column (f_stats, g_stats) and, when h = m, every sigma as one prefix sum
+    of the odd-block column counts.
     """
     p = a.profile
-    m, size = p.m, p.size
-    check_letter(letter, size)
+    m = p.m
+    check_letter(letter, p.size)
     if letter.kind == K:
         i = letter.index
-        return LinComb.single(a, v_sub(i, letter.power * a.row_sum(i), m))
+        return LinComb._raw({a: v_sub(i, letter.power * a.row_sum(i), m)})
     h = letter.index
-    odd = h == m
     # E_h moves one unit from row h+1 to row h, F_h from row h to row h+1.
     src, dst = (h + 1, h) if letter.kind == E else (h, h + 1)
-    stat = f_stat if letter.kind == E else g_stat
-    row_src = a.rows[src - 1]
+    stats = (f_stats if letter.kind == E else g_stats)(h, a)
+    sigmas = itertools.accumulate(odd_counts(a), initial=0) if h == m else itertools.repeat(0)
     row_dst = a.rows[dst - 1]
     # Each column moves to its own target and [n] != 0 for n >= 1, so the
     # terms are stored, never summed.
     out: dict = {}
-    for i in range(1, size + 1):
-        if row_src[i - 1] < 1:
+    for i, (x, stat, sig) in enumerate(zip(a.rows[src - 1], stats, sigmas), 1):
+        if x < 1:
             continue
-        target = a.shift(((dst, i, 1), (src, i, -1)))
-        if target is None:
-            continue
-        neg = odd and (sigma(i, a) & 1 == 1)
-        out[target] = _coeff(dst, stat(h, i, a), m, row_dst[i - 1] + 1, neg)
+        target = a.move(src, dst, i)
+        if target is not None:
+            out[target] = _coeff(dst, stat, m, row_dst[i - 1] + 1, sig & 1 == 1)
     return LinComb._raw(out)
 
 

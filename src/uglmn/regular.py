@@ -31,14 +31,14 @@ from collections import namedtuple
 
 from .linear import LinComb, element_from_json
 from .polyaction import act_tensor
-from .qcoeff import ZERO, VFunc, quantum_integer, v_gap_inv, v_sub
+from .qcoeff import VFunc, quantum_integer, v_gap_inv, v_sub
 from .superindex import (
     Profile,
     SuperMatrix,
     a_bar,
     dominated_by,
-    f_stat,
-    g_stat,
+    f_stats,
+    g_stats,
     json_ints,
     s_sign,
     sigma,
@@ -137,7 +137,7 @@ def _template(letter: GenLetter, a: SuperMatrix, signed: bool) -> tuple:
     h = letter.index
     is_e = letter.kind == E
     src, dst = (h + 1, h) if is_e else (h, h + 1)
-    stat = f_stat if is_e else g_stat
+    stats = (f_stats if is_e else g_stats)(h, a)
     row_src = a.rows[src - 1]
     row_dst = a.rows[dst - 1]
     raised = _twist_shift(size, (dst, 1), (src, -1))
@@ -158,10 +158,10 @@ def _template(letter: GenLetter, a: SuperMatrix, signed: bool) -> tuple:
     for i in range(1, size + 1):
         if i in (h, h + 1) or row_src[i - 1] < 1:
             continue
-        target = a.shift(((dst, i, 1), (src, i, -1)))
+        target = a.move(src, dst, i)
         if target is None:
             continue  # odd entry would exceed 1: the series is zero
-        c = v_sub(dst, stat(h, i, a), m) * quantum_integer(row_dst[i - 1] + 1)
+        c = v_sub(dst, stats[i - 1], m) * quantum_integer(row_dst[i - 1] + 1)
         near = i < h if is_e else i > h + 1  # on the destination row's side
         put(target, i, raised if near else None, 0, c)
     if row_src[dst - 1] >= 1:
@@ -169,14 +169,14 @@ def _template(letter: GenLetter, a: SuperMatrix, signed: bool) -> tuple:
         # difference of two twists divided by v_dst - v_dst^{-1}; both
         # carry v_dst^(-j_dst).
         target = a.shift(((src, dst, -1),))
-        c = v_sub(dst, stat(h, dst, a), m) * v_gap_inv(dst, m)
+        c = v_sub(dst, stats[dst - 1], m) * v_gap_inv(dst, m)
         char = dst if dst > m else -dst
         put(target, dst, raised, char, c)
         put(target, dst, _twist_shift(size, (h, -1), (h + 1, -1)), char, -c)
     target = a.shift(((dst, src, 1),))
     if target is not None:
         # The weight carries v_dst^(j_src), or v_dst^(-j_src) when h = m.
-        c = v_sub(dst, stat(h, src, a), m) * quantum_integer(row_dst[src - 1] + 1)
+        c = v_sub(dst, stats[src - 1], m) * quantum_integer(row_dst[src - 1] + 1)
         put(target, src, None, src if (h == m) == (dst > m) else -src, c)
     return tuple(terms)
 
@@ -266,18 +266,26 @@ def _truncation_differences(mat: SuperMatrix, letters, level: int) -> list:
     level <= level - 1, in terms (monomial, char) for v^<char, j> X^[monomial].
     A term v^<char, j> (A, j + s) of act_formal truncates to v^<mu, s> at
     (A + diag(mu), char + mu), mu signed as in _window; neither side calls
-    the other's action."""
+    the other's action.  The two sides are built apart and compared, and the
+    difference is built only when they differ.  A K letter keeps every
+    monomial's diagonal level, so it acts only on the series monomials inside
+    the window: its images of the others would all fall outside it."""
     window, zero, series = level - 1, (0,) * mat.profile.size, _window(mat, level)
+    inner = [(lam, x) for lam, x in series if x.diag_total() <= window]
     window_of = functools.cache(lambda a: _window(a, window))  # exact: labels are diagonal-free
     out = []
     for letter in letters:
         # The signed lam of each series monomial keeps its images apart.
-        d = {(y, lam): c for lam, x in series for y, c in act_tensor(letter, x) if y.diag_total() <= window}
+        source = inner if letter.kind == K else series
+        lhs = {(y, lam): c for lam, x in source for y, c in act_tensor(letter, x) if y.diag_total() <= window}
+        rhs = {}
         for t, c in act_formal(letter, FormalLabel(mat, zero, zero)):
             for mu, y in window_of(t.mat):
                 key = y, tuple(map(operator.add, t.char, mu))
-                d[key] = d.get(key, ZERO) - c * _char(mu, t.shift)
-        out.append((letter, LinComb(d)))
+                x = c * _char(mu, t.shift)
+                rhs[key] = rhs[key] + x if key in rhs else x
+        lhs, rhs = LinComb(lhs), LinComb(rhs)  # rhs may hold cancelled terms
+        out.append((letter, LinComb.zero() if lhs == rhs else lhs - rhs))
     return out
 
 

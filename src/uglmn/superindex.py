@@ -130,6 +130,20 @@ class SuperMatrix(namedtuple("SuperMatrix", "profile rows")):
             rows[i - 1][j - 1] = x
         return SuperMatrix._make(self.profile, tuple(tuple(r) for r in rows))
 
+    def move(self, src: int, dst: int, j: int):
+        """shift(((dst, j, 1), (src, j, -1))) for src != dst, one unit from
+        (src, j) to (dst, j): None when (dst, j) is an off-diagonal-block
+        entry already at 1, and a ValueError when (src, j) is empty."""
+        rows = list(self.rows)
+        r, t = rows[src - 1], rows[dst - 1]
+        if r[j - 1] < 1:
+            raise ValueError(f"entry ({src},{j}) would become {r[j - 1] - 1} < 0")
+        if t[j - 1] and (dst <= self.profile.m) != (j <= self.profile.m):
+            return None
+        rows[src - 1] = r[: j - 1] + (r[j - 1] - 1,) + r[j:]
+        rows[dst - 1] = t[: j - 1] + (t[j - 1] + 1,) + t[j:]
+        return SuperMatrix._make(self.profile, tuple(rows))
+
     def with_column(self, j: int, col) -> "SuperMatrix":
         rows = tuple(
             r[: j - 1] + (col[i],) + r[j:] for i, r in enumerate(self.rows)
@@ -182,20 +196,32 @@ def sigma(i: int, a: SuperMatrix) -> int:
     return sum(odd_counts(a)[: i - 1])
 
 
+def f_stats(h: int, a: SuperMatrix) -> list:
+    """f_stat(h, i, a) for every column i = 1..m+n, in order."""
+    _check_index(a.profile.size, 1, h)
+    sgn = -1 if h == a.profile.m else 1
+    d = [x - sgn * y for x, y in zip(a.rows[h - 1][:0:-1], a.rows[h][:0:-1])]
+    return list(itertools.accumulate(d, initial=0))[::-1]
+
+
+def g_stats(h: int, a: SuperMatrix) -> list:
+    """g_stat(h, i, a) for every column i = 1..m+n, in order."""
+    _check_index(a.profile.size, 1, h)
+    sgn = -1 if h == a.profile.m else 1
+    d = [y - sgn * x for x, y in zip(a.rows[h - 1][:-1], a.rows[h][:-1])]
+    return list(itertools.accumulate(d, initial=0))
+
+
 def f_stat(h: int, i: int, a: SuperMatrix) -> int:
     """Signed count of row-h/h+1 entries to the right of column i."""
-    p = a.profile
-    _check_index(p.size, i, h)
-    sgn = -1 if h == p.m else 1
-    return sum(a.rows[h - 1][i:]) - sgn * sum(a.rows[h][i:])
+    _check_index(a.profile.size, i, h)
+    return f_stats(h, a)[i - 1]
 
 
 def g_stat(h: int, i: int, a: SuperMatrix) -> int:
     """Signed count of row-h+1/h entries to the left of column i."""
-    p = a.profile
-    _check_index(p.size, i, h)
-    sgn = -1 if h == p.m else 1
-    return sum(a.rows[h][: i - 1]) - sgn * sum(a.rows[h - 1][: i - 1])
+    _check_index(a.profile.size, i, h)
+    return g_stats(h, a)[i - 1]
 
 
 def a_bar(a: SuperMatrix) -> int:

@@ -8,6 +8,7 @@ exponent, possibly negative.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from collections import namedtuple
@@ -53,9 +54,11 @@ def check_index(letter: GenLetter, size: int) -> None:
         raise IndexError(f"generator {letter.text()} needs an index in 1..{top} when m + n = {size}")
 
 
+@functools.cache
 def check_letter(letter: GenLetter, size: int) -> None:
     """check_index, and a ValueError for an E/F letter of divided power a
-    other than 1, which only apply_word takes (as a letters)."""
+    other than 1, which only apply_word takes (as a letters).  Memoized:
+    letters are few, and a raised error is never cached."""
     check_index(letter, size)
     if letter.kind != K and letter.power != 1:
         raise ValueError(f"single-letter actions take E/F letters of power 1, not {letter.text()}")

@@ -126,6 +126,17 @@ def test_oracle_compare_pass(capsys):
     assert json.loads(out)["pass"] is True
 
 
+def test_oracle_compare_refuses_a_divided_power(capsys):
+    code = main([
+        "oracle-compare", "--m", "2", "--n", "1", "--gen", "E1^(2)",
+        "--A", "0,0,0;2,0,0;0,0,0", "--j", "0,0,0", "--L", "3",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: oracle-compare compares one letter of power 1, got E1^(2)\n"
+
+
 def test_verify_small_profile(capsys):
     code, out = run_cli(
         capsys, "verify", "--m", "1", "--n", "1", "--suite", "all", "--bound", "2"

@@ -42,7 +42,19 @@ from uglmn.superindex import (
     unit_matrix,
     zero_matrix,
 )
-from uglmn.words import E, K, apply_word, apply_words, check_index, e, f, k, word_from_text, word_text
+from uglmn.words import (
+    E,
+    K,
+    apply_word,
+    apply_words,
+    check_index,
+    check_letter,
+    e,
+    f,
+    k,
+    word_from_text,
+    word_text,
+)
 
 P11 = Profile(1, 1)
 P21 = Profile(2, 1)
@@ -387,6 +399,35 @@ def test_compare_truncated_sample_22():
         b = label(rng.choice(mats), tuple(rng.randint(-1, 1) for _ in range(4)))
         for letter in letters:
             assert compare_truncated(letter, b, 3), (letter, b)
+
+
+def test_the_truncation_grid_acts_k_letters_only_inside_the_window(monkeypatch):
+    # At (2,1), level 3, a label's truncation has 20 monomials and its window
+    # (level 2) 10. The 4 E/F letters act on all 20; a K letter keeps the
+    # diagonal level, so the 6 K letters act on the 10 inside the window.
+    act, calls = regular.act_tensor, []
+
+    def counting(letter, a):
+        calls.append(letter)
+        return act(letter, a)
+
+    monkeypatch.setattr(regular, "act_tensor", counting)
+    mats = list(all_offdiag(P21, 1))
+    for a in mats:
+        diffs = regular._truncation_differences(a, all_letters(P21), 3)
+        assert [d for _, d in diffs if d.terms] == []
+    assert len(calls) == 140 * len(mats)
+    assert sum(letter.kind == K for letter in calls) == 60 * len(mats)
+
+
+def test_a_memoized_letter_check_still_raises():
+    for _ in range(2):
+        with pytest.raises(IndexError):
+            check_letter(e(2), P11.size)
+        with pytest.raises(ValueError):
+            check_letter(e(1, 2), P11.size)
+        with pytest.raises(IndexError):
+            regular.act_tensor(e(2), zero_matrix(P11))
 
 
 def test_divided_power_word_on_identity_label():

@@ -227,6 +227,46 @@ def test_series_grid_rejects_what_the_per_pair_check_rejects(monkeypatch, fresh_
         assert report.to_json()["failures"] == expected[:10]
 
 
+def _drop_the_last_tensor_term(monkeypatch):
+    # Every E/F image under the tensor oracle loses its last term.
+    act = regular.act_tensor
+
+    def planted(letter, a):
+        res = act(letter, a)
+        if letter.kind == K or res.is_zero():
+            return res
+        return res.filter_keys(lambda key, last=list(res.terms)[-1]: key != last)
+
+    monkeypatch.setattr(regular, "act_tensor", planted)
+
+
+def _negate_k_inverse_in_the_window(monkeypatch):
+    # K_i^-1 acts with the wrong sign on the monomials of diagonal level
+    # <= 2, the window of a level-3 truncation.
+    act = regular.act_tensor
+
+    def planted(letter, a):
+        res = act(letter, a)
+        return -res if letter.kind == K and letter.power == -1 and a.diag_total() <= 2 else res
+
+    monkeypatch.setattr(regular, "act_tensor", planted)
+
+
+@pytest.mark.parametrize("plant", [_drop_the_last_tensor_term, _negate_k_inverse_in_the_window])
+def test_series_grid_rejects_what_the_per_pair_check_rejects_on_the_tensor_side(monkeypatch, plant):
+    # The grid compares the tensor side with the label side and builds their
+    # difference only on a mismatch; a fault on the tensor side must take
+    # that path for exactly the triples the per-pair check rejects.
+    twists = [(0, 0, 0), (1, -1, 0), (-1, 1, 1)]
+    plant(monkeypatch)
+    expected = _reference_failures(P21, 1, twists, 3)
+    assert len(expected) > 10
+    for threads in (1, 2):
+        report = series_truncation_agreement(P21, 1, twists, 3, threads=threads)
+        assert report.checked == 64 * len(twists)
+        assert report.failures == expected
+
+
 def test_series_grid_12_every_twist():
     # The complete (1,2) grid, entries <= 1, level 3, all of {-1,0,1}^3.
     report = series_truncation_agreement(P12, 1, default_j_values(P12), 3, threads=1)

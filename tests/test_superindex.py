@@ -1,5 +1,6 @@
 """Index combinatorics: statistics, the matrix order, parities."""
 
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,9 @@ from uglmn.superindex import (
     basis_vector,
     corner_sums,
     f_stat,
+    f_stats,
     g_stat,
+    g_stats,
     matrix_parity,
     odd_counts,
     preceq,
@@ -336,6 +339,11 @@ def _statistics_mismatches(a):
             ):
                 if fn(h, i, a) != ref(h, i, a):
                     out.append((name, h, i))
+    for h in range(1, size):
+        if f_stats(h, a) != [_ref_f(h, i, a) for i in range(1, size + 1)]:
+            out.append(("f_stats", h))
+        if g_stats(h, a) != [_ref_g(h, i, a) for i in range(1, size + 1)]:
+            out.append(("g_stats", h))
     if a_bar(a) != _ref_a_bar(a):
         out.append("a_bar")
     if matrix_parity(a) != _ref_parity(a):
@@ -374,3 +382,26 @@ def test_statistics_match_the_reference_loops(p):
             assert preceq(a, b) == want, (a, b)
             verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def _move_or_error(a, src, dst, j):
+    try:
+        return a.move(src, dst, j)
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize("p, bound", [(P21, 2), (P12, 2), (P22, 1)])
+def test_move_is_the_two_entry_shift(p, bound):
+    size = p.size
+    pairs = list(itertools.permutations(range(1, size + 1), 2))
+    outcomes = set()
+    for a in all_matrices(p, bound):
+        for (src, dst), j in itertools.product(pairs, range(1, size + 1)):
+            got = _move_or_error(a, src, dst, j)
+            if a.rows[src - 1][j - 1]:
+                assert got == a.shift(((dst, j, 1), (src, j, -1))), (a, src, dst, j)
+            else:
+                assert got is ValueError, (a, src, dst, j)
+            outcomes.add(got if got in (None, ValueError) else SuperMatrix)
+    assert outcomes == {None, ValueError, SuperMatrix}
