@@ -174,13 +174,23 @@ def act_tensor(letter: GenLetter, a: SuperMatrix) -> LinComb:
     return LinComb._raw(out)
 
 
+def _splice(a: SuperMatrix, h: int, j: int, col) -> SuperMatrix:
+    """a with its column j replaced by col, which differs from it only in
+    rows h and h+1: only those two rows are rebuilt."""
+    rows = a.rows
+    r, s = rows[h - 1], rows[h]
+    moved = (r[: j - 1] + (col[h - 1],) + r[j:], s[: j - 1] + (col[h],) + s[j:])
+    return SuperMatrix._make(a.profile, rows[: h - 1] + moved + rows[h + 1 :])
+
+
 def act_tensor_coproduct(letter: GenLetter, a: SuperMatrix, _cols=None) -> LinComb:
     """Tensor action computed structurally from the iterated coproduct.
 
     K goes to K x ... x K.  E_h spreads as 1 x .. x E_h x Ktilde_h x .. with
     Ktilde_h = K_h K_{h+1}^{-1}; F_h as Ktilde_h^{-1} x .. x F_h x 1 x ...
     Moving an odd generator past the first factors inserts the Koszul sign
-    (-1)^(sum of the skipped column parities).
+    (-1)^(sum of the skipped column parities); only E_m and F_m are odd, so
+    the parities are summed for them alone.
 
     Every K-type weight is a pure power of v, so it is carried as an integer
     exponent: K_i^e scales a column with exponents c by v^(s(i) e c_i), where
@@ -196,7 +206,8 @@ def act_tensor_coproduct(letter: GenLetter, a: SuperMatrix, _cols=None) -> LinCo
     if letter.kind == K:
         i = letter.index
         sgn = letter.power if i <= m else -letter.power
-        return LinComb.single(a, VFunc.v_power(sum(sgn * col.exps[i - 1] for col in cols)))
+        # v^e is never zero, so the single term is stored as it is.
+        return LinComb._raw({a: VFunc.v_power(sum(sgn * col.exps[i - 1] for col in cols))})
 
     h = letter.index
     odd = h == m
@@ -208,19 +219,19 @@ def act_tensor_coproduct(letter: GenLetter, a: SuperMatrix, _cols=None) -> LinCo
     # E: Ktilde_h on every column right of the mover; F: Ktilde_h^{-1} left.
     tail = sum(weights) if is_e else 0
     out: dict = {}
-    par = 0  # parity of the columns already passed
-    for pidx, (col, w) in enumerate(zip(cols, weights)):
+    par = 0  # parity of the columns already passed, summed only when odd
+    for j, (col, w) in enumerate(zip(cols, weights), 1):
         if is_e:
             tail -= w
         res = _ef_factor(col, letter.kind, h)
         if res is not None:
             exps, bracket = res
             # Each column moves to a distinct target, so nothing accumulates.
-            target = a.with_column(pidx + 1, exps)
-            out[target] = _move_coeff(bracket, tail, odd and (par & 1) == 1)
+            out[_splice(a, h, j, exps)] = _move_coeff(bracket, tail, par & 1 == 1)
         if not is_e:
             tail -= w
-        par += col.parity()
+        if odd:
+            par += col.parity()
     return LinComb._raw(out)
 
 

@@ -1,8 +1,10 @@
 """High-level verification suites over exhaustive grids.
 
-Each runner returns machine-readable reports; the heavy agreement grids can
-shard across processes when UGLMN_THREADS (or an explicit thread count) asks
-for more than one worker.
+Each runner returns machine-readable reports.  The agreement grids shard
+across processes: as many workers as an explicit thread count or
+UGLMN_THREADS asks for, and otherwise one per SHARD_MATRICES matrices of the
+grid, so a small grid runs in this process and pays no pool start-up.  The
+count is capped at the CPU count either way.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ from .polyaction import (
 )
 from .regular import truncation_mismatches
 from .relcheck import factor_handle, full_suite, series_handle, tensor_handle
-from .superindex import Profile, all_matrices, all_offdiag
+from .superindex import Profile, all_matrices, all_offdiag, count_matrices, count_offdiag
 from .words import e, f, k
 
 SERIES_LEVEL = 3  # diagonal level of the truncations in run_series_suites
+SHARD_MATRICES = 1000  # grid matrices per worker when no count is asked for
 
 
 def generator_letters(p: Profile) -> list:
@@ -38,11 +41,13 @@ def generator_letters(p: Profile) -> list:
     return out
 
 
-def thread_count(threads=None) -> int:
-    """The worker count: `threads`, else UGLMN_THREADS, else 1, capped at the
-    CPU count; below 1 is a ValueError."""
+def thread_count(threads=None, matrices: int = 0) -> int:
+    """The worker count for a grid of `matrices` matrices: `threads`, else
+    UGLMN_THREADS, else one worker per SHARD_MATRICES matrices (at least
+    one), capped at the CPU count; an asked-for count below 1 is a
+    ValueError."""
     if threads is None:
-        threads = os.environ.get("UGLMN_THREADS") or 1
+        threads = os.environ.get("UGLMN_THREADS") or max(1, matrices // SHARD_MATRICES)
     n = int(threads)
     if n < 1:
         raise ValueError(f"worker count must be >= 1, got {n}")
@@ -102,11 +107,11 @@ def _grid_shard(args) -> tuple:
     return checked, failures
 
 
-def _run_grid(name, check, matrices, p, bound, threads) -> GridReport:
-    """Run check(matrix, letters) on every matrix the enumerator yields,
-    sharded across processes when more than one worker is asked for; the
+def _run_grid(name, check, matrices, size, p, bound, threads) -> GridReport:
+    """Run check(matrix, letters) on every matrix the enumerator yields (size
+    of them), sharded across thread_count(threads, size) processes; the
     failures come in grid order whatever the worker count."""
-    workers = thread_count(threads)
+    workers = thread_count(threads, size)
     jobs = [(check, matrices, p, bound, s, workers) for s in range(workers)]
     if workers == 1:
         shards = [_grid_shard(jobs[0])]
@@ -128,7 +133,8 @@ def tensor_agreement(p: Profile, bound: int, threads=None) -> GridReport:
     """Closed-form tensor action against the coproduct expansion, for every
     generator and every matrix with entries <= bound."""
     name = f"tensor-agreement {p.m}|{p.n} entries<={bound}"
-    return _run_grid(name, _check_tensor, all_matrices, p, bound, threads)
+    size = count_matrices(p, bound)
+    return _run_grid(name, _check_tensor, all_matrices, size, p, bound, threads)
 
 
 def series_truncation_agreement(
@@ -139,7 +145,8 @@ def series_truncation_agreement(
     twist vector in j_values."""
     name = f"series-truncation {p.m}|{p.n} entries<={bound} level={level}"
     check = partial(_check_series, j_values=[tuple(j) for j in j_values], level=level)
-    return _run_grid(name, check, all_offdiag, p, bound, threads)
+    size = count_offdiag(p, bound)
+    return _run_grid(name, check, all_offdiag, size, p, bound, threads)
 
 
 def default_j_values(p: Profile) -> list:

@@ -9,6 +9,7 @@ All public indices are 1-based.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import namedtuple
 
@@ -143,12 +144,6 @@ class SuperMatrix(namedtuple("SuperMatrix", "profile rows")):
         rows[src - 1] = r[: j - 1] + (r[j - 1] - 1,) + r[j:]
         rows[dst - 1] = t[: j - 1] + (t[j - 1] + 1,) + t[j:]
         return SuperMatrix._make(self.profile, tuple(rows))
-
-    def with_column(self, j: int, col) -> "SuperMatrix":
-        rows = tuple(
-            r[: j - 1] + (col[i],) + r[j:] for i, r in enumerate(self.rows)
-        )
-        return SuperMatrix._make(self.profile, rows)
 
     def add_diag(self, lam) -> "SuperMatrix":
         rows = tuple(
@@ -286,18 +281,25 @@ def strictly_lower(a: SuperMatrix, b: SuperMatrix) -> bool:
     return a != b and preceq(a, b)
 
 
-def _matrices(p: Profile, bound: int, diag_bound: int, shard: int, nshards: int):
-    """Every SuperMatrix with entries <= bound, off-diagonal blocks capped at
-    1 and the diagonal at diag_bound, in row-major lexicographic order; only
-    those with index = shard mod nshards, skipped before any matrix is built."""
-    if not 0 <= shard < nshards:
-        raise ValueError(f"shard {shard} out of range 0..{nshards - 1}")
+def _entry_ranges(p: Profile, bound: int, diag_bound: int) -> list:
+    """The range of each entry in row-major order: the diagonal up to
+    diag_bound, off-diagonal blocks up to min(bound, 1), the rest up to bound."""
     m, size = p.m, p.size
-    ranges = [
+    return [
         range((diag_bound if i == j else min(bound, 1) if (i < m) != (j < m) else bound) + 1)
         for i in range(size)
         for j in range(size)
     ]
+
+
+def _matrices(p: Profile, bound: int, diag_bound: int, shard: int, nshards: int):
+    """Every SuperMatrix with entries in _entry_ranges, in row-major
+    lexicographic order; only those with index = shard mod nshards, skipped
+    before any matrix is built."""
+    if not 0 <= shard < nshards:
+        raise ValueError(f"shard {shard} out of range 0..{nshards - 1}")
+    size = p.size
+    ranges = _entry_ranges(p, bound, diag_bound)
     for flat in itertools.islice(itertools.product(*ranges), shard, None, nshards):
         yield SuperMatrix._make(p, tuple(flat[i * size : (i + 1) * size] for i in range(size)))
 
@@ -314,3 +316,13 @@ def all_offdiag(p: Profile, bound: int, shard: int = 0, nshards: int = 1):
     order of all_matrices; with nshards > 1 only every nshards-th of them,
     starting at index shard."""
     yield from _matrices(p, bound, 0, shard, nshards)
+
+
+def count_matrices(p: Profile, bound: int) -> int:
+    """How many matrices all_matrices(p, bound) yields; none is built."""
+    return math.prod(map(len, _entry_ranges(p, bound, bound)))
+
+
+def count_offdiag(p: Profile, bound: int) -> int:
+    """How many matrices all_offdiag(p, bound) yields; none is built."""
+    return math.prod(map(len, _entry_ranges(p, bound, 0)))

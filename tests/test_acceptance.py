@@ -3,7 +3,9 @@
 Each test prints a single PASS/FAIL line; run with `pytest -s
 tests/test_acceptance.py` to see them as they complete.  The exhaustive
 tensor-agreement grid (criterion 2) is the long pole: its (2,2) slice walks
-1,679,616 matrices.
+1,679,616 matrices.  Unless UGLMN_THREADS asks for a count, the grids shard
+over one worker per 1,000 matrices, at most one per CPU, so criterion 2's
+line names the worker count of each of its grids.
 """
 
 import itertools
@@ -47,6 +49,7 @@ from uglmn.superindex import (
     a_bar,
     all_offdiag,
     basis_vector,
+    count_matrices,
     sigma,
     strictly_lower,
     unit_matrix,
@@ -56,6 +59,7 @@ from uglmn.suites import (
     default_j_values,
     series_truncation_agreement,
     tensor_agreement,
+    thread_count,
 )
 from uglmn.words import e, f, k
 
@@ -86,13 +90,16 @@ def test_criterion_2_tensor_oracle_equivalence():
     started = time.time()
     failures = []
     checked = 0
+    workers = []
     for m, n in ((1, 1), (2, 1), (2, 2)):
-        rep = tensor_agreement(Profile(m, n), 2)
+        p = Profile(m, n)
+        rep = tensor_agreement(p, 2)
         checked += rep.checked
         failures.extend(rep.failures)
+        workers.append(f"{thread_count(None, count_matrices(p, 2))} at ({m},{n})")
     ok = not failures
     report(2, "tensor action equals coproduct route, entries <= 2", ok, started,
-           f"{checked} matrices")
+           f"{checked} matrices; workers {', '.join(workers)}")
     assert ok, failures[:5]
 
 

@@ -2,6 +2,7 @@
 of the closed-form tensor action with the coproduct expansion."""
 
 import itertools
+import os
 
 import pytest
 
@@ -25,7 +26,7 @@ from uglmn.polyaction import (
 )
 from uglmn.qcoeff import ONE, VFunc, quantum_integer
 from uglmn.regular import act_letter, one_label
-from uglmn.suites import tensor_agreement
+from uglmn.suites import tensor_agreement, thread_count
 from uglmn.superindex import (
     Profile,
     SuperMatrix,
@@ -215,6 +216,28 @@ def test_tensor_agreement_catches_coproduct_mutations(monkeypatch, mutate):
     report = tensor_agreement(P11, 2, threads=1)
     assert report.checked == 36
     assert report.failures
+
+
+def _swap_spliced_rows(monkeypatch):
+    # The moved column's entries in rows h and h+1 go into each other's row.
+    splice = polyaction._splice
+    monkeypatch.setattr(
+        polyaction,
+        "_splice",
+        lambda a, h, j, col: splice(a, h, j, col[: h - 1] + (col[h], col[h - 1]) + col[h + 1 :]),
+    )
+
+
+def test_tensor_agreement_catches_a_wrong_row_splice(monkeypatch):
+    monkeypatch.delenv("UGLMN_THREADS", raising=False)
+    _swap_spliced_rows(monkeypatch)
+    one = tensor_agreement(P21, 2, threads=1)
+    # 3,888 matrices: the default count shards wherever there are two CPUs.
+    assert thread_count(None, 3888) == min(3, os.cpu_count() or 1)
+    default = tensor_agreement(P21, 2)
+    assert one.checked == default.checked == 3888
+    assert one.failures
+    assert one.failures == default.failures
 
 
 def test_act_word_tensor_basics():

@@ -1,6 +1,7 @@
 """Agreement grids: shards partition the grid, build only their own matrices,
 the sharded runner gives the same report as one process and starts at most
-one worker per CPU, an empty grid does not pass, a bad twist is rejected,
+one worker per CPU (by default one per 1,000 grid matrices, so a small
+`verify` starts none), an empty grid does not pass, a bad twist is rejected,
 and a lost action term is caught.  The truncation grid, which compares each
 matrix once at a formal twist, rejects exactly the (matrix, twist, letter)
 triples that the per-pair check rejects.  Relations and truncations
@@ -16,7 +17,7 @@ import random
 
 import pytest
 
-from uglmn import regular, suites
+from uglmn import cli, regular, suites
 from uglmn.qcoeff import VFunc
 from uglmn.regular import SeriesBasis, compare_truncated
 from uglmn.relcheck import (
@@ -35,6 +36,7 @@ from uglmn.suites import (
     generator_letters,
     series_truncation_agreement,
     tensor_agreement,
+    thread_count,
 )
 from uglmn.superindex import Profile, SuperMatrix, all_matrices, all_offdiag
 from uglmn.words import E, K
@@ -345,8 +347,9 @@ def test_truncation_on_a_22_sample(monkeypatch, fresh_templates):
     assert set(failures) == {"E2", "F2"}
 
 
-def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
-    asked = []
+def _serial_pool(asked):
+    """A ProcessPoolExecutor stand-in that records each pool's worker count
+    and runs the shards in this process."""
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -361,6 +364,12 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
+    return SerialPool
+
+
+def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
+    asked = []
+    SerialPool = _serial_pool(asked)
     monkeypatch.setattr(suites, "act_tensor", _drop_one_term(suites.act_tensor))
     serial = tensor_agreement(P11, 2, threads=1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -368,3 +377,32 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
     report = tensor_agreement(P11, 2, threads=cpus + 3)
     assert all(workers <= cpus for workers in asked)
     _same_report(serial, report)
+
+
+def test_default_worker_count_follows_the_grid_size(monkeypatch):
+    monkeypatch.delenv("UGLMN_THREADS", raising=False)
+    cpus = os.cpu_count() or 1
+    assert thread_count(None, 36) == 1
+    assert thread_count(None, 3888) == min(3, cpus)
+    assert thread_count(2, 36) == min(2, cpus)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert thread_count(None, 1_679_616) == 64
+    assert thread_count(2, 36) == 2  # an asked-for count is kept on any grid
+    monkeypatch.setenv("UGLMN_THREADS", "1")
+    for size in (36, 3888, 1_679_616):
+        assert thread_count(None, size) == 1
+
+
+def test_default_verify_on_a_small_grid_starts_no_pool(monkeypatch, capsys):
+    monkeypatch.delenv("UGLMN_THREADS", raising=False)
+    asked = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _serial_pool(asked))
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    argv = ["verify", "--m", "1", "--n", "1", "--bound", "2"]
+    assert cli.main(argv) == 0
+    assert asked == []
+    out = capsys.readouterr().out
+    # The same run with an asked-for count does shard, with the same output.
+    assert cli.main(argv + ["--threads", "2"]) == 0
+    assert asked == [2, 2]
+    assert capsys.readouterr().out == out

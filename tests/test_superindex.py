@@ -14,6 +14,8 @@ from uglmn.superindex import (
     alpha,
     basis_vector,
     corner_sums,
+    count_matrices,
+    count_offdiag,
     f_stat,
     f_stats,
     g_stat,
@@ -256,6 +258,14 @@ def test_enumeration_counts():
     assert sum(1 for _ in all_matrices(P11, 2)) == 9 * 4
     assert sum(1 for _ in all_offdiag(P11, 1)) == 4
     assert sum(1 for _ in all_offdiag(P21, 1)) == 64
+
+
+@pytest.mark.parametrize("p", [P11, P21, P12])
+@pytest.mark.parametrize("bound", [0, 1, 2])
+def test_counts_read_the_enumerated_ranges(p, bound):
+    # The worker count is sized from these, before any matrix is built.
+    assert count_matrices(p, bound) == sum(1 for _ in all_matrices(p, bound))
+    assert count_offdiag(p, bound) == sum(1 for _ in all_offdiag(p, bound))
 
 
 @pytest.mark.parametrize(
