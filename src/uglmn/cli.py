@@ -41,13 +41,7 @@ from .regular import (
     truncate,
 )
 from .superindex import Profile, SuperMatrix, json_ints
-from .suites import (
-    SHARD_MATRICES,
-    run_factor_suites,
-    run_series_suites,
-    run_tensor_suites,
-    thread_count,
-)
+from .suites import run_factor_suites, run_series_suites, run_tensor_suites
 from .words import K, apply_word, check_index, word_from_text, word_text
 
 FLAVORS = {"01": ZERO_ONE, "10": ONE_ZERO}
@@ -201,14 +195,13 @@ def cmd_verify(args) -> int:
     p = Profile(args.m, args.n)
     if args.bound < 0:
         raise InputError(f"--bound must be >= 0, got {args.bound}")
-    thread_count(args.threads)  # a bad count exits 2 before any suite runs
     suites = []
     if args.suite in ("factor", "all"):
         suites.extend(run_factor_suites(p, args.bound, mutate=args.mutate))
     if args.suite in ("tensor", "all"):
-        suites.extend(run_tensor_suites(p, args.bound, threads=args.threads))
+        suites.extend(run_tensor_suites(p, args.bound))
     if args.suite in ("series", "all"):
-        suites.extend(run_series_suites(p, args.bound, threads=args.threads))
+        suites.extend(run_series_suites(p, args.bound))
     ok = all(s.all_pass for s in suites)
     _emit({"profile": {"m": p.m, "n": p.n}, "pass": ok, "suites": [s.to_json() for s in suites]})
     return 0 if ok else 1
@@ -279,13 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", choices=["factor", "tensor", "series", "all"], default="all")
     sp.add_argument("--bound", type=int, default=2, help="degree/entry bound")
     sp.add_argument("--mutate", action="store_true", help="corrupt one sign (self-test)")
-    sp.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker processes per agreement grid (default: UGLMN_THREADS, else one "
-        f"per {SHARD_MATRICES:,} grid matrices; at most the CPU count)",
-    )
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("highest-weight", help="lowering word from the top monomial")

@@ -124,9 +124,9 @@ def _template(letter: GenLetter, a: SuperMatrix, signed: bool) -> tuple:
     Moves that would push an off-diagonal-block entry past 1 produce the zero
     series and are dropped.
 
-    With signed=True the sign prefactor uses the signed-basis statistic
-    instead of sigma, taken on the source label for E and on each term's
-    target label for F; everything else is identical.
+    With signed=True the sign is s_sign(h, col, a) in place of sigma(col, a),
+    read on the source label for every term: a term's target differs from a
+    only in column col, which s_sign leaves out.  Nothing else changes.
     """
     p = a.profile
     m, size = p.m, p.size
@@ -150,7 +150,7 @@ def _template(letter: GenLetter, a: SuperMatrix, signed: bool) -> tuple:
     def put(target, col, shift, char, c):
         # Both sign statistics vanish unless h = m.
         if h == m:
-            flip = s_sign(h, col, a if is_e else target) if signed else sigma(col, a)
+            flip = s_sign(h, col, a) if signed else sigma(col, a)
             if flip & 1:
                 c = -c
         terms.append((target, shift, char, c))

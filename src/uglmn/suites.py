@@ -1,10 +1,10 @@
 """High-level verification suites over exhaustive grids.
 
 Each runner returns machine-readable reports.  The agreement grids shard
-across processes: as many workers as an explicit thread count or
-UGLMN_THREADS asks for, and otherwise one per SHARD_MATRICES matrices of the
-grid, so a small grid runs in this process and pays no pool start-up.  The
-count is capped at the CPU count either way.
+across processes, one worker per SHARD_MATRICES matrices of the grid, so a
+small grid runs in this process and pays no pool start-up.  The count is
+capped at the CPUs this process may run on: limit workers with the OS's own
+affinity (taskset, a cpuset).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .superindex import Profile, all_matrices, all_offdiag, count_matrices, coun
 from .words import e, f, k
 
 SERIES_LEVEL = 3  # diagonal level of the truncations in run_series_suites
-SHARD_MATRICES = 1000  # grid matrices per worker when no count is asked for
+SHARD_MATRICES = 1000  # grid matrices per worker
 
 
 def generator_letters(p: Profile) -> list:
@@ -41,17 +41,12 @@ def generator_letters(p: Profile) -> list:
     return out
 
 
-def thread_count(threads=None, matrices: int = 0) -> int:
-    """The worker count for a grid of `matrices` matrices: `threads`, else
-    UGLMN_THREADS, else one worker per SHARD_MATRICES matrices (at least
-    one), capped at the CPU count; an asked-for count below 1 is a
-    ValueError."""
-    if threads is None:
-        threads = os.environ.get("UGLMN_THREADS") or max(1, matrices // SHARD_MATRICES)
-    n = int(threads)
-    if n < 1:
-        raise ValueError(f"worker count must be >= 1, got {n}")
-    return min(n, os.cpu_count() or 1)
+def worker_count(matrices: int) -> int:
+    """One worker per SHARD_MATRICES matrices of the grid (at least one),
+    capped at the CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return min(max(1, matrices // SHARD_MATRICES), cpus)
 
 
 @dataclass
@@ -107,11 +102,11 @@ def _grid_shard(args) -> tuple:
     return checked, failures
 
 
-def _run_grid(name, check, matrices, size, p, bound, threads) -> GridReport:
+def _run_grid(name, check, matrices, size, p, bound) -> GridReport:
     """Run check(matrix, letters) on every matrix the enumerator yields (size
-    of them), sharded across thread_count(threads, size) processes; the
-    failures come in grid order whatever the worker count."""
-    workers = thread_count(threads, size)
+    of them), sharded across worker_count(size) processes; the failures come
+    in grid order whatever the worker count."""
+    workers = worker_count(size)
     jobs = [(check, matrices, p, bound, s, workers) for s in range(workers)]
     if workers == 1:
         shards = [_grid_shard(jobs[0])]
@@ -129,24 +124,22 @@ def _run_grid(name, check, matrices, size, p, bound, threads) -> GridReport:
     return report
 
 
-def tensor_agreement(p: Profile, bound: int, threads=None) -> GridReport:
+def tensor_agreement(p: Profile, bound: int) -> GridReport:
     """Closed-form tensor action against the coproduct expansion, for every
     generator and every matrix with entries <= bound."""
     name = f"tensor-agreement {p.m}|{p.n} entries<={bound}"
     size = count_matrices(p, bound)
-    return _run_grid(name, _check_tensor, all_matrices, size, p, bound, threads)
+    return _run_grid(name, _check_tensor, all_matrices, size, p, bound)
 
 
-def series_truncation_agreement(
-    p: Profile, bound: int, j_values, level: int, threads=None
-) -> GridReport:
+def series_truncation_agreement(p: Profile, bound: int, j_values, level: int) -> GridReport:
     """Explicit label actions against the truncated tensor series, for every
     generator, every diagonal-free matrix with entries <= bound, and every
     twist vector in j_values."""
     name = f"series-truncation {p.m}|{p.n} entries<={bound} level={level}"
     check = partial(_check_series, j_values=[tuple(j) for j in j_values], level=level)
     size = count_offdiag(p, bound)
-    return _run_grid(name, check, all_offdiag, size, p, bound, threads)
+    return _run_grid(name, check, all_offdiag, size, p, bound)
 
 
 def default_j_values(p: Profile) -> list:
@@ -161,14 +154,14 @@ def run_factor_suites(p: Profile, degree_bound: int, mutate: bool = False) -> li
     ]
 
 
-def run_tensor_suites(p: Profile, bound: int, threads=None) -> list:
-    return [full_suite(tensor_handle(p, bound)), tensor_agreement(p, bound, threads)]
+def run_tensor_suites(p: Profile, bound: int) -> list:
+    return [full_suite(tensor_handle(p, bound)), tensor_agreement(p, bound)]
 
 
-def run_series_suites(p: Profile, bound: int, threads=None) -> list:
+def run_series_suites(p: Profile, bound: int) -> list:
     """Relations, and truncations at SERIES_LEVEL, on every default twist."""
     j_values = default_j_values(p)
     return [
         full_suite(series_handle(p, bound, j_values)),
-        series_truncation_agreement(p, bound, j_values, SERIES_LEVEL, threads),
+        series_truncation_agreement(p, bound, j_values, SERIES_LEVEL),
     ]

@@ -3,9 +3,9 @@
 Each test prints a single PASS/FAIL line; run with `pytest -s
 tests/test_acceptance.py` to see them as they complete.  The exhaustive
 tensor-agreement grid (criterion 2) is the long pole: its (2,2) slice walks
-1,679,616 matrices.  Unless UGLMN_THREADS asks for a count, the grids shard
-over one worker per 1,000 matrices, at most one per CPU, so criterion 2's
-line names the worker count of each of its grids.
+1,679,616 matrices.  The grids shard over one worker per 1,000 matrices, at
+most one per CPU this process may run on, so criterion 2's line names the
+worker count of each of its grids.
 """
 
 import itertools
@@ -59,7 +59,7 @@ from uglmn.suites import (
     default_j_values,
     series_truncation_agreement,
     tensor_agreement,
-    thread_count,
+    worker_count,
 )
 from uglmn.words import e, f, k
 
@@ -96,7 +96,7 @@ def test_criterion_2_tensor_oracle_equivalence():
         rep = tensor_agreement(p, 2)
         checked += rep.checked
         failures.extend(rep.failures)
-        workers.append(f"{thread_count(None, count_matrices(p, 2))} at ({m},{n})")
+        workers.append(f"{worker_count(count_matrices(p, 2))} at ({m},{n})")
     ok = not failures
     report(2, "tensor action equals coproduct route, entries <= 2", ok, started,
            f"{checked} matrices; workers {', '.join(workers)}")

@@ -373,16 +373,6 @@ def test_coefficient_exponent_named_twice_exit_2(capsys, side):
         )
 
 
-@pytest.mark.parametrize("threads, env", [("-4", None), ("0", None), (None, "0")])
-def test_verify_worker_count_below_one_exit_2(capsys, monkeypatch, threads, env):
-    if env is None:
-        monkeypatch.delenv("UGLMN_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("UGLMN_THREADS", env)
-    argv = ["verify", "--m", "1", "--n", "1", "--suite", "tensor", "--bound", "1"]
-    _assert_input_error(capsys, argv + (["--threads", threads] if threads else []))
-
-
 def test_output_is_byte_deterministic(capsys):
     args = ["expand", "--m", "2", "--n", "1", "--A", "0,0,1;0,0,0;0,0,0", "--j", "1,0,-1"]
     _, out1 = run_cli(capsys, *args)

@@ -172,7 +172,7 @@ def argvs(draw):
         # stops at bound 0.
         bound = -1 if bad == "bound" else draw(st.integers(0, 1 if size < 3 else 0))
         suite = draw(st.sampled_from(["factor", "tensor", "series", "all"]))
-        argv += [f"--bound={bound}", f"--suite={suite}", "--threads=1"]
+        argv += [f"--bound={bound}", f"--suite={suite}"]
         if draw(st.booleans()):
             argv.append("--mutate")
     else:

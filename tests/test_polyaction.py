@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from uglmn import polyaction
+from uglmn import polyaction, suites
 from uglmn.linear import LinComb
 from uglmn.polyaction import (
     ONE_ZERO,
@@ -26,7 +26,7 @@ from uglmn.polyaction import (
 )
 from uglmn.qcoeff import ONE, VFunc, quantum_integer
 from uglmn.regular import act_letter, one_label
-from uglmn.suites import tensor_agreement, thread_count
+from uglmn.suites import tensor_agreement, worker_count
 from uglmn.superindex import (
     Profile,
     SuperMatrix,
@@ -211,9 +211,9 @@ def _shift_tail_exponent(monkeypatch):
 
 @pytest.mark.parametrize("mutate", [_drop_koszul_sign, _shift_tail_exponent])
 def test_tensor_agreement_catches_coproduct_mutations(monkeypatch, mutate):
-    assert tensor_agreement(P11, 2, threads=1).all_pass
+    assert tensor_agreement(P11, 2).all_pass
     mutate(monkeypatch)
-    report = tensor_agreement(P11, 2, threads=1)
+    report = tensor_agreement(P11, 2)
     assert report.checked == 36
     assert report.failures
 
@@ -229,12 +229,12 @@ def _swap_spliced_rows(monkeypatch):
 
 
 def test_tensor_agreement_catches_a_wrong_row_splice(monkeypatch):
-    monkeypatch.delenv("UGLMN_THREADS", raising=False)
     _swap_spliced_rows(monkeypatch)
-    one = tensor_agreement(P21, 2, threads=1)
     # 3,888 matrices: the default count shards wherever there are two CPUs.
-    assert thread_count(None, 3888) == min(3, os.cpu_count() or 1)
+    assert worker_count(3888) == min(3, len(os.sched_getaffinity(0)))
     default = tensor_agreement(P21, 2)
+    monkeypatch.setattr(suites, "SHARD_MATRICES", 3888)  # one worker
+    one = tensor_agreement(P21, 2)
     assert one.checked == default.checked == 3888
     assert one.failures
     assert one.failures == default.failures

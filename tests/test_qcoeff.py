@@ -383,7 +383,7 @@ def test_hot_path_runs_no_euclid(monkeypatch, fresh_expansions):
     monkeypatch.setattr(VPoly, "gcd", counted)
     p21 = Profile(2, 1)
     assert full_suite(series_handle(p21, 1, [(0, 1, -1), (1, -1, 0), (-1, 0, 1)])).all_pass
-    assert series_truncation_agreement(Profile(1, 1), 1, [(0, 0), (1, -1)], 3, threads=1).all_pass
+    assert series_truncation_agreement(Profile(1, 1), 1, [(0, 0), (1, -1)], 3).all_pass
     left = [((0, 1, 1), (0, 0, 0), (1, 1, 0)), ((0, 1, 0), (1, 0, 1), (0, 1, 0))]
     right = [((0, 0, 1), (1, 0, 0), (0, 1, 0)), ((0, 1, 1), (0, 0, 0), (0, 0, 0))]
     for a, b in zip(left, right):

@@ -36,7 +36,7 @@ from uglmn.suites import (
     generator_letters,
     series_truncation_agreement,
     tensor_agreement,
-    thread_count,
+    worker_count,
 )
 from uglmn.superindex import Profile, SuperMatrix, all_matrices, all_offdiag
 from uglmn.words import E, K
@@ -47,6 +47,17 @@ P12 = Profile(1, 2)
 P22 = Profile(2, 2)
 
 
+def _shard_in_two(monkeypatch, size):
+    """Shard a grid of `size` matrices over two workers (one on a one-CPU
+    machine); every grid in this file runs serially by default."""
+    monkeypatch.setattr(suites, "SHARD_MATRICES", size // 2)
+
+
+def _cpus(monkeypatch, n):
+    """The CPUs this process may run on, as worker_count sees them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def _same_report(one, two):
     assert one.name == two.name
     assert one.checked == two.checked > 0
@@ -54,14 +65,17 @@ def _same_report(one, two):
     assert sorted(one.failures, key=key) == sorted(two.failures, key=key)
 
 
-def test_tensor_grid_sharded_matches_single_process():
-    _same_report(tensor_agreement(P11, 2, threads=1), tensor_agreement(P11, 2, threads=2))
+def test_tensor_grid_sharded_matches_single_process(monkeypatch):
+    one = tensor_agreement(P11, 2)
+    _shard_in_two(monkeypatch, 36)
+    _same_report(one, tensor_agreement(P11, 2))
 
 
-def test_series_grid_sharded_matches_single_process():
+def test_series_grid_sharded_matches_single_process(monkeypatch):
     twists = [(0, 0), (1, -1), (-1, 1)]
-    one = series_truncation_agreement(P11, 1, twists, 3, threads=1)
-    two = series_truncation_agreement(P11, 1, twists, 3, threads=2)
+    one = series_truncation_agreement(P11, 1, twists, 3)
+    _shard_in_two(monkeypatch, 4)
+    two = series_truncation_agreement(P11, 1, twists, 3)
     _same_report(one, two)
 
 
@@ -90,7 +104,7 @@ def test_shard_builds_only_its_share(monkeypatch):
 
 
 def test_empty_series_grid_does_not_pass():
-    report = series_truncation_agreement(P11, 1, [], 3, threads=1)
+    report = series_truncation_agreement(P11, 1, [], 3)
     assert report.checked == 0
     assert not report.all_pass
     assert report.to_json()["pass"] is False
@@ -100,9 +114,9 @@ def test_series_grid_rejects_bad_twists():
     # Every twist is validated as a label's, even where the formal
     # comparison finds nothing to read off.
     with pytest.raises(ValueError, match="length 3"):
-        series_truncation_agreement(P21, 1, [(0, 0)], 3, threads=1)
+        series_truncation_agreement(P21, 1, [(0, 0)], 3)
     with pytest.raises(TypeError):
-        series_truncation_agreement(P21, 1, [(0, 0.5, 0)], 3, threads=1)
+        series_truncation_agreement(P21, 1, [(0, 0.5, 0)], 3)
 
 
 def test_empty_basis_relations_are_empty_not_passing():
@@ -152,9 +166,9 @@ def _lose_a_label_term(monkeypatch):
 
 def test_series_grid_catches_a_lost_label_term(monkeypatch, fresh_templates):
     twists = [(0, 0), (1, -1), (-1, 1)]
-    assert series_truncation_agreement(P11, 1, twists, 3, threads=1).all_pass
+    assert series_truncation_agreement(P11, 1, twists, 3).all_pass
     _lose_a_label_term(monkeypatch)
-    report = series_truncation_agreement(P11, 1, twists, 3, threads=1)
+    report = series_truncation_agreement(P11, 1, twists, 3)
     assert report.checked == 12
     assert report.failures
     # A one-shot iterator of letters finds the same mismatches as a list.
@@ -222,8 +236,10 @@ def test_series_grid_rejects_what_the_per_pair_check_rejects(monkeypatch, fresh_
     plant(monkeypatch)
     expected = _reference_failures(P21, 1, twists, 3)
     assert len(expected) > 10  # to_json lists only the first ten
-    for threads in (1, 2):
-        report = series_truncation_agreement(P21, 1, twists, 3, threads=threads)
+    for sharded in (False, True):
+        if sharded:
+            _shard_in_two(monkeypatch, 64)
+        report = series_truncation_agreement(P21, 1, twists, 3)
         assert report.checked == 64 * len(twists)
         assert report.failures == expected
         assert report.to_json()["failures"] == expected[:10]
@@ -263,15 +279,17 @@ def test_series_grid_rejects_what_the_per_pair_check_rejects_on_the_tensor_side(
     plant(monkeypatch)
     expected = _reference_failures(P21, 1, twists, 3)
     assert len(expected) > 10
-    for threads in (1, 2):
-        report = series_truncation_agreement(P21, 1, twists, 3, threads=threads)
+    for sharded in (False, True):
+        if sharded:
+            _shard_in_two(monkeypatch, 64)
+        report = series_truncation_agreement(P21, 1, twists, 3)
         assert report.checked == 64 * len(twists)
         assert report.failures == expected
 
 
 def test_series_grid_12_every_twist():
     # The complete (1,2) grid, entries <= 1, level 3, all of {-1,0,1}^3.
-    report = series_truncation_agreement(P12, 1, default_j_values(P12), 3, threads=1)
+    report = series_truncation_agreement(P12, 1, default_j_values(P12), 3)
     assert report.checked == 64 * 27
     assert report.all_pass, report.failures
 
@@ -286,23 +304,24 @@ def test_series_suites_without_odd_generators(p):
         "QG6-square(E)", "QG6-square(F)", "QG6-serre(E)", "QG6-serre(F)"
     ]
     assert all(r.status == PASS for r in suite.reports if r.status != NOT_APPLICABLE)
-    report = series_truncation_agreement(p, 1, twists, 3, threads=1)
+    report = series_truncation_agreement(p, 1, twists, 3)
     assert report.checked == 64 * len(twists)
     assert report.all_pass, report.failures
 
 
 def test_tensor_grid_catches_a_lost_tensor_term(monkeypatch):
-    assert tensor_agreement(P11, 2, threads=1).all_pass
+    assert tensor_agreement(P11, 2).all_pass
     monkeypatch.setattr(suites, "act_tensor", _drop_one_term(suites.act_tensor))
-    report = tensor_agreement(P11, 2, threads=1)
+    report = tensor_agreement(P11, 2)
     assert report.checked == 36
     assert report.failures
 
 
 def test_grid_failures_do_not_depend_on_the_worker_count(monkeypatch):
     monkeypatch.setattr(suites, "act_tensor", _drop_one_term(suites.act_tensor))
-    one = tensor_agreement(P11, 2, threads=1)
-    two = tensor_agreement(P11, 2, threads=2)
+    one = tensor_agreement(P11, 2)
+    _shard_in_two(monkeypatch, 36)
+    two = tensor_agreement(P11, 2)
     assert len(one.failures) > 10  # to_json lists only the first ten
     assert one.to_json() == two.to_json()
 
@@ -371,38 +390,46 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
     asked = []
     SerialPool = _serial_pool(asked)
     monkeypatch.setattr(suites, "act_tensor", _drop_one_term(suites.act_tensor))
-    serial = tensor_agreement(P11, 2, threads=1)
+    serial = tensor_agreement(P11, 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    cpus = os.cpu_count() or 1
-    report = tensor_agreement(P11, 2, threads=cpus + 3)
-    assert all(workers <= cpus for workers in asked)
+    monkeypatch.setattr(suites, "SHARD_MATRICES", 1)  # 36 workers wanted
+    _cpus(monkeypatch, 3)
+    report = tensor_agreement(P11, 2)
+    assert asked == [3]
     _same_report(serial, report)
 
 
 def test_default_worker_count_follows_the_grid_size(monkeypatch):
-    monkeypatch.delenv("UGLMN_THREADS", raising=False)
-    cpus = os.cpu_count() or 1
-    assert thread_count(None, 36) == 1
-    assert thread_count(None, 3888) == min(3, cpus)
-    assert thread_count(2, 36) == min(2, cpus)
+    _cpus(monkeypatch, 4)
+    assert worker_count(0) == worker_count(36) == worker_count(1999) == 1
+    assert worker_count(3888) == 3
+    assert worker_count(1_679_616) == 4
+
+
+def test_worker_count_reads_the_cpus_this_process_may_use(monkeypatch):
+    # Pinned to one of 64 CPUs, even the (2,2) grid runs in one process.
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert thread_count(None, 1_679_616) == 64
-    assert thread_count(2, 36) == 2  # an asked-for count is kept on any grid
-    monkeypatch.setenv("UGLMN_THREADS", "1")
-    for size in (36, 3888, 1_679_616):
-        assert thread_count(None, size) == 1
+    _cpus(monkeypatch, 1)
+    assert worker_count(1_679_616) == 1
+    _cpus(monkeypatch, 64)
+    assert worker_count(1_679_616) == 64
+    # Where the platform has no affinity call, the CPU count caps it.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_count(1_679_616) == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count(1_679_616) == 1
 
 
 def test_default_verify_on_a_small_grid_starts_no_pool(monkeypatch, capsys):
-    monkeypatch.delenv("UGLMN_THREADS", raising=False)
     asked = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _serial_pool(asked))
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _cpus(monkeypatch, 4)
     argv = ["verify", "--m", "1", "--n", "1", "--bound", "2"]
     assert cli.main(argv) == 0
     assert asked == []
     out = capsys.readouterr().out
-    # The same run with an asked-for count does shard, with the same output.
-    assert cli.main(argv + ["--threads", "2"]) == 0
-    assert asked == [2, 2]
+    # The same run with sharding forced does shard, with the same output.
+    monkeypatch.setattr(suites, "SHARD_MATRICES", 1)
+    assert cli.main(argv) == 0
+    assert asked == [4, 4]
     assert capsys.readouterr().out == out
