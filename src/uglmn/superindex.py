@@ -8,6 +8,7 @@ All public indices are 1-based.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -264,10 +265,20 @@ def corner_sums(a: SuperMatrix) -> list:
     return out
 
 
+# An expansion tests every term of every remainder against its matrix, and
+# the same lower matrices recur across expansions.  Bounded above the 5,969
+# matrices that expanding the (2,2) labels with entries <= 1 and
+# off-diagonal total <= 5 reaches.
+@functools.lru_cache(maxsize=8192)
+def _corners(a: SuperMatrix) -> tuple:
+    """corner_sums(a) as a tuple, once per matrix."""
+    return tuple(corner_sums(a))
+
+
 def dominated_by(b: SuperMatrix):
-    """The test a -> preceq(a, b), b's corner sums taken once; false across profiles."""
-    top = corner_sums(b)
-    return lambda a: a.profile == b.profile and all(map(operator.le, corner_sums(a), top))
+    """The test a -> preceq(a, b) from memoized corner sums; false across profiles."""
+    top = _corners(b)
+    return lambda a: a.profile == b.profile and all(map(operator.le, _corners(a), top))
 
 
 def preceq(a: SuperMatrix, b: SuperMatrix) -> bool:

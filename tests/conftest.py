@@ -2,17 +2,32 @@
 
 import pytest
 
-from uglmn import regular
+from uglmn import regular, superindex
 
 
 @pytest.fixture
 def fresh_expansions():
-    """An empty expansion memo for the test, and none of its entries after:
+    """Empty expansion memos for the test, and none of their entries after:
     a test that plants a fault must neither read expansions made before it
-    nor leave any behind."""
-    regular._untwisted.cache_clear()
+    nor leave any behind.  That is every memo an expansion reads: the
+    untwisted expansions, the twisted coordinates derived from them, the
+    raising-block images, the word blocks, the lowering weights, the corner
+    sums and the label-action templates."""
+    memos = (  # the memos themselves, should the test patch their names
+        regular._untwisted,
+        regular._coords,
+        regular._raised,
+        regular._fe_blocks,
+        regular._k_block,
+        regular._lowering_weight,
+        regular._template,
+        superindex._corners,
+    )
+    for memo in memos:
+        memo.cache_clear()
     yield
-    regular._untwisted.cache_clear()
+    for memo in memos:
+        memo.cache_clear()
 
 
 @pytest.fixture

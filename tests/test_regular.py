@@ -531,12 +531,13 @@ def _direct_expansion(mat, j, memo):
     return memo[key]
 
 
-def test_derived_expansions_match_the_direct_algorithm():
-    # 36 + 1,728 + 1,728 labels, and the round trip at (2,1); 7-9 s on a
-    # 2-core box.  Only (A, 0) is expanded; every twist is derived from it.
+def _check_derived_expansions(profiles):
+    """Every label with entries <= 1 and twist entries in {-1, 0, 1}
+    expanded against _direct_expansion, which acts with whole words and
+    reads none of the expansion memos; at (2,1) also the round trip."""
     memo = {}
     o21 = LinComb.single(one_label(P21))
-    for p in (P11, P21, P12):
+    for p in profiles:
         for a in all_offdiag(p, 1):
             for j in all_j(p):
                 got = expand_as_words(a, j)
@@ -548,15 +549,66 @@ def test_derived_expansions_match_the_direct_algorithm():
                     assert apply_words(words, o21, act_letter) == unit(a, j), (a, j)
 
 
-def test_each_matrix_is_expanded_once(fresh_expansions):
+def test_derived_expansions_match_the_direct_algorithm():
+    # 36 + 1,728 + 1,728 labels, and the round trip at (2,1); 7-9 s on a
+    # 2-core box.  Only (A, 0) is expanded; every twist is derived from it.
+    _check_derived_expansions((P11, P21, P12))
+
+
+def test_the_direct_algorithm_catches_a_dropped_image_term(monkeypatch, fresh_expansions):
+    # Drop the last term of the first raising-block image with two terms, in
+    # the memo and wherever it is read again: the expansions built on it go
+    # wrong, and the reference, which acts with whole words, must notice.
+    raised, planted = regular._raised, []
+
+    def dropped(p, raising):
+        x = raised(p, raising)
+        if not planted and len(x) > 1:
+            planted.append((p, raising))
+        if planted[:1] == [(p, raising)]:
+            last = list(x.terms)[-1]
+            return x.filter_keys(lambda b: b != last)
+        return x
+
+    monkeypatch.setattr(regular, "_raised", dropped)
+    with pytest.raises(AssertionError):
+        _check_derived_expansions((P21,))
+    assert planted
+
+
+def test_each_matrix_is_expanded_once(monkeypatch, fresh_expansions):
     # All 64 x 27 labels, and the lower labels their expansions reach, are
     # derived from one expansion per matrix: the 64, and 30 lower matrices.
+    # The coordinates of each of the 1,827 labels reached are built once,
+    # and each of the 10 tails of the 94 raising blocks, the empty one
+    # included, acts on O(0) once.
+    coords, labels = regular._coords, set()
+    monkeypatch.setattr(regular, "_coords", lambda b: labels.add(b) or coords(b))
     mats = list(all_offdiag(P21, 1))
     for a in mats:
         for j in all_j(P21):
             expand_as_words(a, j)
     info = regular._untwisted.cache_info()
     assert info.misses == info.currsize == 94
+    assert coords.cache_info().misses == len(labels) == 1827
+    expanded = {b.mat for b in labels}
+    assert len(expanded) == 94
+    raisings = [regular._fe_blocks(a)[1] for a in expanded]
+    tails = {r[i:] for r in raisings for i in range(len(r) + 1)}
+    assert regular._raised.cache_info().misses == len(tails) == 10
+
+
+def test_expand_round_trip_22():
+    # Every diagonal-free (2,2) matrix with entries <= 1 and off-diagonal
+    # total <= 3, at two twists, written as words and applied back to O(0).
+    p = Profile(2, 2)
+    o = LinComb.single(one_label(p))
+    mats = [a for a in all_offdiag(p, 1) if a.offdiag_total() <= 3]
+    labels = [label(a, j) for a in mats for j in ((0, 0, 0, 0), (1, -1, 0, 1))]
+    assert len(labels) == 598
+    for b in labels:
+        words = LinComb._raw({w: c for c, w in expand_as_words(b.mat, b.j)})
+        assert apply_words(words, o, act_letter) == LinComb.single(b), b
 
 
 def test_distinct_labels_have_distinct_words():
@@ -663,7 +715,7 @@ def test_series_element_json_rejects_duplicate_labels():
 
 def test_expand_as_words_invariant_is_an_exception(monkeypatch, fresh_expansions):
     # A broken leading term raises an explicit error, also under python -O.
-    monkeypatch.setattr(regular, "monomial_word", lambda mat, j: ())
+    monkeypatch.setattr(regular, "_fe_blocks", lambda mat: ((), ()))
     with pytest.raises(RuntimeError):
         expand_as_words(unit_matrix(P11, 1, 2), (0, 0))
 
